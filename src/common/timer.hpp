@@ -9,7 +9,6 @@
 // by simcomm::CostModel.
 
 #include <chrono>
-#include <cstdint>
 
 namespace sagnn {
 
@@ -41,19 +40,6 @@ class ThreadCpuTimer {
 
  private:
   double start_ = 0.0;
-};
-
-/// Accumulates named phase durations (e.g. "spmm", "pack").
-class PhaseAccumulator {
- public:
-  void add(double seconds) { total_ += seconds; ++count_; }
-  double total() const { return total_; }
-  std::int64_t count() const { return count_; }
-  void reset() { total_ = 0.0; count_ = 0; }
-
- private:
-  double total_ = 0.0;
-  std::int64_t count_ = 0;
 };
 
 }  // namespace sagnn

@@ -1,10 +1,12 @@
 #include "gnn/strategies/strategy_15d.hpp"
 
+#include <algorithm>
+
 #include "plan/census.hpp"
 
 namespace sagnn {
 
-std::vector<double> grid_replica_nnz_work(const StrategyContext& ctx) {
+std::vector<double> Strategy15d::rank_work(const StrategyContext& ctx) const {
   // Rank r holds block row r/c; the c replicas split its work.
   const GridLayout layout = GridLayout::make(ctx.p, ctx.c);
   std::vector<double> work(static_cast<std::size_t>(ctx.p), 0.0);
@@ -17,10 +19,6 @@ std::vector<double> grid_replica_nnz_work(const StrategyContext& ctx) {
         layout.s;
   }
   return work;
-}
-
-std::vector<double> Strategy15d::rank_work(const StrategyContext& ctx) const {
-  return grid_replica_nnz_work(ctx);
 }
 
 PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
@@ -47,6 +45,7 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   const double s = sizeof(real_t);
   const int rows = layout.rows;
   const int c = layout.s;
+  const int k = pipelined_ ? std::max(1, in.chunks) : 1;
   // Reduce scope: a grid column (one replica of every block row), `rows`
   // members spaced c apart. Each rank holds an n*c/p-row replica.
   const std::vector<vid_t> widths =
@@ -56,26 +55,40 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   for (vid_t width : widths) {
     const double w = static_cast<double>(width);
     // Grid-column fetch: the c replicas of a block row split its traffic.
+    // Chunking moves the same bytes in K times the alltoall messages.
     if (mode_ == SpmmMode::kSparsityAware) {
-      e.alltoall(out.cost, halo / in.p * imb * w * s, rows - 1, rows, c);
+      e.alltoall(out.cost, halo / in.p * imb * w * s,
+                 static_cast<double>(k) * (rows - 1), rows, c);
     } else {
       e.bcast(out.cost, (rows - 1) * n / in.p * w * s, rows - 1, rows, c);
     }
-    // Grid-row partial-sum all-reduce across the c replicas.
+    // Grid-row partial-sum all-reduce across the c replicas: one
+    // full-width collective per propagate, whatever K.
     if (c > 1) e.allreduce(out.cost, (n * c / in.p) * w * s, c, 1);
   }
   out.valid = true;
+  if (pipelined_) {
+    // Cross-layer schedule: K stages per propagate plus the final drain
+    // (the trainer records n_prop * K stages for K >= 2, n_prop + 1 at
+    // K = 1).
+    const int n_prop = static_cast<int>(widths.size());
+    out.depth = std::max(n_prop * k, n_prop + 1);
+  }
   return out;
 }
 
 namespace {
 const StrategyRegistration kRegister15dOblivious{
     "1.5d-oblivious", {}, [] {
-      return std::make_unique<Strategy15d>(SpmmMode::kOblivious);
+      return std::make_unique<Strategy15d>(SpmmMode::kOblivious, false);
     }};
 const StrategyRegistration kRegister15dSparse{
     "1.5d-sparse", {"1.5d-sparsity-aware"}, [] {
-      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware);
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, false);
+    }};
+const StrategyRegistration kRegister15dOverlap{
+    "1.5d-overlap", {"15d-overlap", "1.5d-pipelined"}, [] {
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, true);
     }};
 }  // namespace
 

@@ -113,6 +113,13 @@ struct DistCase {
   int threads;
 };
 
+// ctest names each case after gtest's print of its parameter; print the
+// fields as text (the default raw-byte dump includes pointer values).
+void PrintTo(const DistCase& d, std::ostream* os) {
+  *os << d.strategy << " p=" << d.p << " c=" << d.c << " " << d.partitioner;
+  *os << " t=" << d.threads;
+}
+
 class CkptDistributedRoundTrip : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(CkptDistributedRoundTrip, ResumeIsBitIdentical) {

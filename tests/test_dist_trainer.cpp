@@ -2,17 +2,17 @@
 // and modeled costs are populated, option validation.
 #include <gtest/gtest.h>
 
-#include "gnn/dist_trainer.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 
 namespace sagnn {
 namespace {
 
-TrainConfig base_config(const Dataset& ds, DistAlgo algo, int epochs = 3) {
+TrainConfig base_config(const Dataset& ds, const char* strategy, int epochs = 3) {
   TrainConfig cfg;
   cfg.gcn = GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, epochs);
   cfg.gcn.learning_rate = 0.3f;
-  cfg.strategy = strategy_name(algo);
+  cfg.strategy = strategy;
   return cfg;
 }
 
@@ -24,13 +24,13 @@ TrainResult run_distributed(const Dataset& ds, const TrainConfig& cfg) {
 
 TEST(DistTrainer, RunsAllAlgorithmsAndPartitioners) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  for (DistAlgo algo : {DistAlgo::k1dOblivious, DistAlgo::k1dSparse,
-                        DistAlgo::k15dOblivious, DistAlgo::k15dSparse}) {
+  for (const char* strategy :
+       {"1d-oblivious", "1d-sparse", "1.5d-oblivious", "1.5d-sparse"}) {
     for (const char* partitioner : {"block", "random", "metis", "gvb"}) {
-      SCOPED_TRACE(std::string(to_string(algo)) + " + " + partitioner);
-      TrainConfig cfg = base_config(ds, algo, 2);
+      SCOPED_TRACE(std::string(strategy) + " + " + partitioner);
+      TrainConfig cfg = base_config(ds, strategy, 2);
       cfg.p = 4;
-      cfg.c = is_15d(algo) ? 2 : 1;
+      cfg.c = std::string(strategy).rfind("1.5d", 0) == 0 ? 2 : 1;
       cfg.partitioner = partitioner;
       const auto result = run_distributed(ds, cfg);
       ASSERT_EQ(result.epochs.size(), 2u);
@@ -42,7 +42,7 @@ TEST(DistTrainer, RunsAllAlgorithmsAndPartitioners) {
 
 TEST(DistTrainer, LossDecreases) {
   const Dataset ds = make_protein_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k1dSparse, 15);
+  TrainConfig cfg = base_config(ds, "1d-sparse", 15);
   cfg.p = 4;
   cfg.partitioner = "metis";
   const auto result = run_distributed(ds, cfg);
@@ -51,14 +51,14 @@ TEST(DistTrainer, LossDecreases) {
 
 TEST(DistTrainer, PhaseVolumesMatchAlgorithmKind) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k1dOblivious, 2);
+  TrainConfig cfg = base_config(ds, "1d-oblivious", 2);
   cfg.p = 4;
 
   const auto oblivious = run_distributed(ds, cfg);
   EXPECT_GT(oblivious.phase_volumes.at("bcast").megabytes_per_epoch, 0.0);
   EXPECT_EQ(oblivious.phase_volumes.count("alltoall"), 0u);
 
-  cfg.strategy = strategy_name(DistAlgo::k1dSparse);
+  cfg.strategy = "1d-sparse";
   const auto sparse = run_distributed(ds, cfg);
   EXPECT_GT(sparse.phase_volumes.at("alltoall").megabytes_per_epoch, 0.0);
   EXPECT_EQ(sparse.phase_volumes.count("bcast"), 0u);
@@ -69,13 +69,13 @@ TEST(DistTrainer, SparsityAwareCommunicatesLessWithPartitioning) {
   // The headline mechanism: SA+partitioner moves fewer bytes per epoch than
   // the oblivious baseline on a partitionable graph.
   const Dataset ds = make_protein_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k1dOblivious, 2);
+  TrainConfig cfg = base_config(ds, "1d-oblivious", 2);
   cfg.p = 4;
   cfg.partitioner = "block";
   const double oblivious_mb =
       run_distributed(ds, cfg).phase_volumes.at("bcast").megabytes_per_epoch;
 
-  cfg.strategy = strategy_name(DistAlgo::k1dSparse);
+  cfg.strategy = "1d-sparse";
   cfg.partitioner = "gvb";
   const double sa_mb =
       run_distributed(ds, cfg).phase_volumes.at("alltoall").megabytes_per_epoch;
@@ -85,7 +85,7 @@ TEST(DistTrainer, SparsityAwareCommunicatesLessWithPartitioning) {
 
 TEST(DistTrainer, VolumeModelPopulated) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k1dSparse, 1);
+  TrainConfig cfg = base_config(ds, "1d-sparse", 1);
   cfg.p = 4;
   cfg.partitioner = "metis";
   const auto result = run_distributed(ds, cfg);
@@ -96,8 +96,8 @@ TEST(DistTrainer, VolumeModelPopulated) {
 
 TEST(DistTrainer, Runs2dAlgorithms) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  for (DistAlgo algo : {DistAlgo::k2dOblivious, DistAlgo::k2dSparse}) {
-    TrainConfig cfg = base_config(ds, algo, 2);
+  for (const char* strategy : {"2d-oblivious", "2d-sparse"}) {
+    TrainConfig cfg = base_config(ds, strategy, 2);
     cfg.p = 9;  // 3x3 grid
     cfg.partitioner = "metis";
     const auto result = run_distributed(ds, cfg);
@@ -109,14 +109,14 @@ TEST(DistTrainer, Runs2dAlgorithms) {
 
 TEST(DistTrainer, Rejects2dNonSquare) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k2dSparse, 1);
+  TrainConfig cfg = base_config(ds, "2d-sparse", 1);
   cfg.p = 8;
   EXPECT_THROW(run_distributed(ds, cfg), Error);
 }
 
 TEST(DistTrainer, RejectsBadGrid) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k15dSparse, 1);
+  TrainConfig cfg = base_config(ds, "1.5d-sparse", 1);
   cfg.p = 6;
   cfg.c = 2;  // c^2 = 4 does not divide 6
   EXPECT_THROW(run_distributed(ds, cfg), Error);
@@ -124,15 +124,9 @@ TEST(DistTrainer, RejectsBadGrid) {
 
 TEST(DistTrainer, RejectsMismatchedGcnDims) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, DistAlgo::k1dSparse, 1);
+  TrainConfig cfg = base_config(ds, "1d-sparse", 1);
   cfg.gcn.dims.back() += 1;
   EXPECT_THROW(run_distributed(ds, cfg), Error);
-}
-
-TEST(DistTrainer, AlgoNames) {
-  EXPECT_STREQ(to_string(DistAlgo::k1dOblivious), "1d-oblivious(cagnet)");
-  EXPECT_TRUE(is_15d(DistAlgo::k15dSparse));
-  EXPECT_FALSE(is_15d(DistAlgo::k1dSparse));
 }
 
 }  // namespace

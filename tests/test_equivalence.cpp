@@ -8,11 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <tuple>
 
-#include "gnn/dist_trainer.hpp"
 #include "gnn/serial_trainer.hpp"
 #include "gnn/strategy.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "partition/partitioner_registry.hpp"
 
@@ -20,11 +21,17 @@ namespace sagnn {
 namespace {
 
 struct EqCase {
-  DistAlgo algo;
+  const char* strategy;
   int p;
   int c;
   const char* partitioner;
 };
+
+// ctest names each case after gtest's print of its parameter; print the
+// fields as text (the default raw-byte dump includes pointer values).
+void PrintTo(const EqCase& c, std::ostream* os) {
+  *os << c.strategy << " p=" << c.p << " c=" << c.c << " " << c.partitioner;
+}
 
 class DistMatchesSerial : public ::testing::TestWithParam<EqCase> {};
 
@@ -40,7 +47,7 @@ TEST_P(DistMatchesSerial, LossTrajectoriesAgree) {
   const auto serial_metrics = serial.train();
 
   auto trainer = TrainerBuilder(ds)
-                     .strategy(strategy_name(c.algo))
+                     .strategy(c.strategy)
                      .ranks(c.p, c.c)
                      .partitioner(c.partitioner)
                      .gcn(cfg)
@@ -65,28 +72,28 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, DistMatchesSerial,
     ::testing::Values(
         // 1D algorithms across partitioners and p.
-        EqCase{DistAlgo::k1dOblivious, 1, 1, "block"},
-        EqCase{DistAlgo::k1dOblivious, 4, 1, "block"},
-        EqCase{DistAlgo::k1dOblivious, 4, 1, "metis"},
-        EqCase{DistAlgo::k1dSparse, 4, 1, "block"},
-        EqCase{DistAlgo::k1dSparse, 4, 1, "random"},
-        EqCase{DistAlgo::k1dSparse, 4, 1, "metis"},
-        EqCase{DistAlgo::k1dSparse, 4, 1, "gvb"},
-        EqCase{DistAlgo::k1dSparse, 7, 1, "metis"},
-        EqCase{DistAlgo::k1dSparse, 8, 1, "gvb"},
+        EqCase{"1d-oblivious", 1, 1, "block"},
+        EqCase{"1d-oblivious", 4, 1, "block"},
+        EqCase{"1d-oblivious", 4, 1, "metis"},
+        EqCase{"1d-sparse", 4, 1, "block"},
+        EqCase{"1d-sparse", 4, 1, "random"},
+        EqCase{"1d-sparse", 4, 1, "metis"},
+        EqCase{"1d-sparse", 4, 1, "gvb"},
+        EqCase{"1d-sparse", 7, 1, "metis"},
+        EqCase{"1d-sparse", 8, 1, "gvb"},
         // 1.5D algorithms with c in {1, 2} and both partitioner families.
-        EqCase{DistAlgo::k15dOblivious, 4, 2, "block"},
-        EqCase{DistAlgo::k15dOblivious, 8, 2, "metis"},
-        EqCase{DistAlgo::k15dSparse, 4, 1, "block"},
-        EqCase{DistAlgo::k15dSparse, 4, 2, "metis"},
-        EqCase{DistAlgo::k15dSparse, 8, 2, "gvb"},
-        EqCase{DistAlgo::k15dSparse, 16, 2, "gvb"},
+        EqCase{"1.5d-oblivious", 4, 2, "block"},
+        EqCase{"1.5d-oblivious", 8, 2, "metis"},
+        EqCase{"1.5d-sparse", 4, 1, "block"},
+        EqCase{"1.5d-sparse", 4, 2, "metis"},
+        EqCase{"1.5d-sparse", 8, 2, "gvb"},
+        EqCase{"1.5d-sparse", 16, 2, "gvb"},
         // 2D (SUMMA-style) algorithms on square grids.
-        EqCase{DistAlgo::k2dOblivious, 4, 1, "block"},
-        EqCase{DistAlgo::k2dOblivious, 9, 1, "metis"},
-        EqCase{DistAlgo::k2dSparse, 4, 1, "block"},
-        EqCase{DistAlgo::k2dSparse, 9, 1, "gvb"},
-        EqCase{DistAlgo::k2dSparse, 16, 1, "metis"}));
+        EqCase{"2d-oblivious", 4, 1, "block"},
+        EqCase{"2d-oblivious", 9, 1, "metis"},
+        EqCase{"2d-sparse", 4, 1, "block"},
+        EqCase{"2d-sparse", 9, 1, "gvb"},
+        EqCase{"2d-sparse", 16, 1, "metis"}));
 
 // ---- Registry-driven sweep: EVERY registered (strategy x partitioner) ----
 // pair must reproduce the serial loss trajectory through TrainerBuilder.
@@ -144,9 +151,9 @@ TEST(Equivalence, ObliviousAndSparseProduceSameTrajectory) {
   // than with serial.
   const Dataset ds = make_protein_sim(DatasetScale::kTiny);
   GcnConfig cfg = GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, 4);
-  auto run = [&](DistAlgo algo) {
+  auto run = [&](const char* strategy) {
     auto trainer = TrainerBuilder(ds)
-                       .strategy(strategy_name(algo))
+                       .strategy(strategy)
                        .ranks(4)
                        .partitioner("metis")
                        .gcn(cfg)
@@ -154,8 +161,8 @@ TEST(Equivalence, ObliviousAndSparseProduceSameTrajectory) {
     trainer->train();
     return trainer->result();
   };
-  const TrainResult oblivious = run(DistAlgo::k1dOblivious);
-  const TrainResult sparse = run(DistAlgo::k1dSparse);
+  const TrainResult oblivious = run("1d-oblivious");
+  const TrainResult sparse = run("1d-sparse");
 
   for (std::size_t e = 0; e < oblivious.epochs.size(); ++e) {
     EXPECT_NEAR(oblivious.epochs[e].loss, sparse.epochs[e].loss, 1e-4);

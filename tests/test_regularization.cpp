@@ -2,9 +2,11 @@
 // that keeps distributed == serial), and training effects.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dense/ops.hpp"
-#include "gnn/dist_trainer.hpp"
 #include "gnn/serial_trainer.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 
 namespace sagnn {
@@ -73,10 +75,11 @@ TEST(Regularization, DistributedMatchesSerialWithDropoutAndDecay) {
   SerialTrainer serial(ds, cfg);
   const auto sm = serial.train();
 
-  for (DistAlgo algo : {DistAlgo::k1dSparse, DistAlgo::k15dSparse}) {
+  for (const auto& [strategy, c] :
+       {std::pair{"1d-sparse", 1}, std::pair{"1.5d-sparse", 2}}) {
     auto trainer = TrainerBuilder(ds)
-                       .strategy(strategy_name(algo))
-                       .ranks(4, is_15d(algo) ? 2 : 1)
+                       .strategy(strategy)
+                       .ranks(4, c)
                        .partitioner("metis")
                        .gcn(cfg)
                        .build();
@@ -84,7 +87,7 @@ TEST(Regularization, DistributedMatchesSerialWithDropoutAndDecay) {
     const TrainResult dist = trainer->result();
     for (std::size_t e = 0; e < sm.size(); ++e) {
       EXPECT_NEAR(dist.epochs[e].loss, sm[e].loss, 5e-3 * std::max(1.0, sm[e].loss))
-          << to_string(algo) << " epoch " << e;
+          << strategy << " epoch " << e;
     }
   }
 }

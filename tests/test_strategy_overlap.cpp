@@ -5,11 +5,15 @@
 // the one-time index exchange exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "gnn/strategy.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
+#include "plan/census.hpp"
 #include "sparse/blocks.hpp"
 
 namespace sagnn {
@@ -144,6 +148,27 @@ TEST(StrategyOverlap, BlockRowWorkSharedWithSparse1d) {
   EXPECT_DOUBLE_EQ(total, static_cast<double>(a.nnz()));
   EXPECT_EQ(strategy_registry().create("1d-overlap")->rank_work(ctx), work);
   EXPECT_EQ(strategy_registry().create("1d-sparse")->rank_work(ctx), work);
+}
+
+TEST(StrategyOverlap, SingleChunkPredictionEqualsSparseBitwise) {
+  // "1d-overlap" is the "1d-sparse" class with the pipelined schedule on;
+  // at K = 1 the two must price every bucket identically.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus census = take_census(ds);
+  PredictInput in;
+  in.census = &census;
+  in.p = 4;
+  in.chunks = 1;
+  in.partitioner = "gvb";
+  in.dims = tiny_config(ds).dims;
+  const PredictedCost overlap =
+      strategy_registry().create("1d-overlap")->predict_cost(in);
+  const PredictedCost sparse = strategy_registry().create("1d-sparse")->predict_cost(in);
+  ASSERT_TRUE(overlap.valid);
+  ASSERT_TRUE(sparse.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(overlap.seconds()),
+            std::bit_cast<std::uint64_t>(sparse.seconds()));
+  EXPECT_EQ(overlap.depth, sparse.depth);
 }
 
 }  // namespace

@@ -38,15 +38,5 @@ TEST(ThreadCpuTimer, IgnoresOtherThreadsWork) {
   EXPECT_LT(t.seconds(), 0.05);
 }
 
-TEST(PhaseAccumulator, SumsAndCounts) {
-  PhaseAccumulator acc;
-  acc.add(0.5);
-  acc.add(0.25);
-  EXPECT_DOUBLE_EQ(acc.total(), 0.75);
-  EXPECT_EQ(acc.count(), 2);
-  acc.reset();
-  EXPECT_DOUBLE_EQ(acc.total(), 0.0);
-}
-
 }  // namespace
 }  // namespace sagnn

@@ -1,12 +1,12 @@
 // The unified Trainer/TrainerBuilder API: registry resolution and error
 // reporting, polymorphic use of all trainer kinds, epoch-at-a-time
-// stepping vs whole-run training, and the back-compat DistAlgo mapping.
+// stepping vs whole-run training, and every registered name and alias.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "gnn/dist_trainer.hpp"
 #include "gnn/distributed_trainer.hpp"
 #include "gnn/sampled_trainer.hpp"
 #include "gnn/serial_trainer.hpp"
@@ -41,15 +41,35 @@ TEST(StrategyRegistry, CanonicalNameRoundTrips) {
 }
 
 TEST(StrategyRegistry, AcceptsHistoricalAliases) {
-  for (DistAlgo algo : {DistAlgo::k1dOblivious, DistAlgo::k1dSparse,
-                        DistAlgo::k15dOblivious, DistAlgo::k15dSparse,
-                        DistAlgo::k2dOblivious, DistAlgo::k2dSparse}) {
-    // Both the registry name and the descriptive to_string() form resolve.
-    EXPECT_EQ(strategy_registry().create(strategy_name(algo))->name(),
-              strategy_name(algo));
-    EXPECT_EQ(strategy_registry().create(to_string(algo))->name(),
-              strategy_name(algo));
+  // Every canonical name and alias of all nine strategies, with the
+  // canonical name() it builds — including the descriptive forms older
+  // callers printed ("1d-oblivious(cagnet)", "1d-sparsity-aware", ...).
+  const std::pair<const char*, const char*> table[] = {
+      {"1d-oblivious", "1d-oblivious"},
+      {"1d-oblivious(cagnet)", "1d-oblivious"},
+      {"cagnet", "1d-oblivious"},
+      {"1d-sparse", "1d-sparse"},
+      {"1d-sparsity-aware", "1d-sparse"},
+      {"1d-overlap", "1d-overlap"},
+      {"1d-pipelined", "1d-overlap"},
+      {"1.5d-oblivious", "1.5d-oblivious"},
+      {"1.5d-sparse", "1.5d-sparse"},
+      {"1.5d-sparsity-aware", "1.5d-sparse"},
+      {"1.5d-overlap", "1.5d-overlap"},
+      {"15d-overlap", "1.5d-overlap"},
+      {"1.5d-pipelined", "1.5d-overlap"},
+      {"2d-oblivious", "2d-oblivious"},
+      {"2d-oblivious(summa)", "2d-oblivious"},
+      {"summa", "2d-oblivious"},
+      {"2d-sparse", "2d-sparse"},
+      {"2d-sparsity-aware", "2d-sparse"},
+      {"3d", "3d"},
+      {"3d-comm-avoiding", "3d"},
+  };
+  for (const auto& [name, canonical] : table) {
+    EXPECT_EQ(strategy_registry().create(name)->name(), canonical) << name;
   }
+  EXPECT_EQ(strategy_registry().names().size(), 9u);
 }
 
 TEST(StrategyRegistry, UnknownNameListsRegisteredStrategies) {
@@ -224,19 +244,6 @@ TEST(Trainer, EveryModeReportsCompletedEpochCount) {
     EXPECT_EQ(trainer->result().epochs_completed(), 1) << trainer->name();
     trainer->train();
     EXPECT_EQ(trainer->result().epochs_completed(), 4) << trainer->name();
-  }
-}
-
-TEST(DistAlgoShim, EveryAlgoNamesARegisteredStrategy) {
-  // The enum survives DistTrainerOptions' removal as a convenience
-  // vocabulary; each value must map onto a name the registry can build.
-  const auto names = strategy_registry().names();
-  for (DistAlgo algo :
-       {DistAlgo::k1dOblivious, DistAlgo::k1dSparse, DistAlgo::k15dOblivious,
-        DistAlgo::k15dSparse, DistAlgo::k2dOblivious, DistAlgo::k2dSparse}) {
-    const std::string name = strategy_name(algo);
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << to_string(algo) << " -> " << name;
   }
 }
 

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/spmm_1d.hpp"
-#include "gnn/dist_trainer.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "partition/metrics.hpp"
 #include "simcomm/cluster.hpp"
@@ -65,7 +65,7 @@ TEST(VolumeCrossCheck, TrainerReportsConsistentAlltoallVolume) {
   const Dataset ds = make_protein_sim(DatasetScale::kTiny);
   auto trainer =
       TrainerBuilder(ds)
-          .strategy(strategy_name(DistAlgo::k1dSparse))
+          .strategy("1d-sparse")
           .ranks(4)
           .partitioner("metis")
           .gcn(GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, 2))
