@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "dist/spmm_15d.hpp"
@@ -13,6 +15,7 @@
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "plan/census.hpp"
 #include "simcomm/cluster.hpp"
 
 namespace sagnn {
@@ -293,6 +296,56 @@ TEST(Strategy15dOverlap, CheckpointResumeStaysBitIdentical) {
                      vol.messages_per_epoch)
         << phase;
   }
+}
+
+PredictInput predict_input_15d(const Dataset& ds, const GraphCensus& census,
+                               int chunks) {
+  PredictInput in;
+  in.census = &census;
+  in.p = 8;
+  in.c = 2;
+  in.chunks = chunks;
+  in.partitioner = "gvb";
+  in.dims = tiny_config(ds).dims;
+  return in;
+}
+
+TEST(Strategy15dOverlap, SingleChunkPredictionDiffersFromSparseOnlyInDepth) {
+  // "1.5d-overlap" is the "1.5d-sparse" class with the cross-layer schedule
+  // on: at K = 1 it prices every bucket identically, but still models the
+  // n_prop + 1 stage-tagged schedule where the bulk path has depth 1.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus census = take_census(ds);
+  const PredictInput in = predict_input_15d(ds, census, 1);
+  const auto pipelined = strategy_registry().create("1.5d-overlap");
+  const PredictedCost overlap = pipelined->predict_cost(in);
+  const PredictedCost sparse =
+      strategy_registry().create("1.5d-sparse")->predict_cost(in);
+  ASSERT_TRUE(overlap.valid);
+  ASSERT_TRUE(sparse.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(overlap.cost.total()),
+            std::bit_cast<std::uint64_t>(sparse.cost.total()));
+  EXPECT_EQ(sparse.depth, 1);
+  // 3 GCN layers -> 5 propagates; the schedule adds the final drain.
+  EXPECT_EQ(overlap.depth, 6);
+  // At K = 2 the schedule is 2 stages per propagate.
+  const PredictedCost two = pipelined->predict_cost(predict_input_15d(ds, census, 2));
+  EXPECT_EQ(two.depth, 10);
+}
+
+TEST(Strategy15dOverlap, SparsePredictionIgnoresChunkCount) {
+  // "1.5d-sparse" keeps the untagged bulk path whatever pipeline_chunks
+  // says, so neither its cost nor its depth moves with K.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus census = take_census(ds);
+  const auto sparse = strategy_registry().create("1.5d-sparse");
+  const PredictedCost one = sparse->predict_cost(predict_input_15d(ds, census, 1));
+  const PredictedCost four = sparse->predict_cost(predict_input_15d(ds, census, 4));
+  ASSERT_TRUE(one.valid);
+  ASSERT_TRUE(four.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(four.seconds()),
+            std::bit_cast<std::uint64_t>(one.seconds()));
+  EXPECT_EQ(four.depth, 1);
 }
 
 }  // namespace

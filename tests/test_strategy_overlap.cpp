@@ -171,5 +171,33 @@ TEST(StrategyOverlap, SingleChunkPredictionEqualsSparseBitwise) {
   EXPECT_EQ(overlap.depth, sparse.depth);
 }
 
+TEST(StrategyOverlap, SparsePredictionIgnoresChunkCount) {
+  // "1d-sparse" keeps the bulk multiply whatever pipeline_chunks says, so
+  // its prediction must not move with K; "1d-overlap" pays K-fold messages
+  // for a K-deep pipeline.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus census = take_census(ds);
+  PredictInput in;
+  in.census = &census;
+  in.p = 4;
+  in.partitioner = "gvb";
+  in.dims = tiny_config(ds).dims;
+  in.chunks = 1;
+  const PredictedCost sparse_one =
+      strategy_registry().create("1d-sparse")->predict_cost(in);
+  in.chunks = 4;
+  const PredictedCost sparse_four =
+      strategy_registry().create("1d-sparse")->predict_cost(in);
+  const PredictedCost overlap_four =
+      strategy_registry().create("1d-overlap")->predict_cost(in);
+  ASSERT_TRUE(sparse_one.valid);
+  ASSERT_TRUE(sparse_four.valid);
+  ASSERT_TRUE(overlap_four.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sparse_four.seconds()),
+            std::bit_cast<std::uint64_t>(sparse_one.seconds()));
+  EXPECT_EQ(sparse_four.depth, 1);
+  EXPECT_EQ(overlap_four.depth, 4);
+}
+
 }  // namespace
 }  // namespace sagnn
