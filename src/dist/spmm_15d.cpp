@@ -1,7 +1,5 @@
 #include "dist/spmm_15d.hpp"
 
-#include <algorithm>
-
 #include "common/timer.hpp"
 #include "sparse/spmm.hpp"
 
@@ -85,8 +83,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
   SAGNN_REQUIRE(h_local.n_rows() == local_.local_rows(),
                 "H block must match this rank's row range");
   const vid_t f = h_local.n_cols();
-  const int k_chunks =
-      std::max(1, std::min(chunks, static_cast<int>(std::max<vid_t>(1, f))));
+  const int k_chunks = chunk_count(chunks, f);
   const bool tagged = stage_counter != nullptr;
   const int stage_base = tagged ? *stage_counter : 0;
   const bool chunked = k_chunks > 1;

@@ -10,8 +10,20 @@
 // shrinks with c while the (dense) partial-sum all-reduce grows — the 1.5D
 // tradeoff the paper evaluates in Figure 7.
 //
-//   kOblivious:      whole H blocks broadcast within the grid column.
-//   kSparsityAware:  only NnzCols rows exchanged, as in the 1D algorithm.
+// At c = 1 the grid is a single column: every rank owns one block row, no
+// all-reduce runs, and this is the paper's 1D Algorithm 1 (§4.1). The 1D
+// strategies ("1d-oblivious", "1d-sparse", "1d-overlap") run it that way.
+//
+//   kOblivious:      whole H blocks broadcast within the grid column
+//                    (CAGNET), so the moved bytes depend only on the
+//                    matrix SHAPE.
+//   kSparsityAware:  only the NnzCols rows the local blocks read are
+//                    exchanged, via one all-to-all per multiply. The
+//                    needed-row index lists are exchanged ONCE at
+//                    construction (phase "index_exchange", which the
+//                    trainer excludes from per-epoch cost).
+
+#include <algorithm>
 
 #include "dense/matrix.hpp"
 #include "dist/dist_csr.hpp"
@@ -43,7 +55,6 @@ class DistSpmm15d {
 
   const GridLayout& layout() const { return layout_; }
   const BlockRange& my_range() const { return local_.my_range(); }
-  SpmmMode mode() const { return mode_; }
   /// One replica of every block row — the communicator for global
   /// reductions of losses and weight gradients.
   Comm& col_comm() { return col_comm_; }
@@ -53,10 +64,13 @@ class DistSpmm15d {
   Matrix multiply(const Matrix& h_local, double* cpu_seconds = nullptr);
 
   /// Chunked-pipelining multiply (sparsity-aware mode only): H is split
-  /// into `chunks` column chunks; the grid-column exchange of chunk k+1 is
-  /// POSTED (ialltoallv) before chunk k is waited for and computed, exactly
-  /// as DistSpmm1d::multiply_pipelined pipelines the 1D exchange (depth-2
-  /// double buffering with measured hidden/blocked wall-clock). The grid-row
+  /// into chunk_count(chunks, f) column chunks; the grid-column exchange of
+  /// chunk k+1 is POSTED (ialltoallv: eager isends + pending irecvs) before
+  /// chunk k is waited for and computed — a genuine double-buffered
+  /// (depth-2) pipeline whose wait() records the measured hidden/blocked
+  /// wall-clock (EpochCost::measured_overlap_fraction). Numerically
+  /// identical to multiply(): each output element accumulates its
+  /// neighbors in the same order, columns are independent. The grid-row
   /// partial-sum all-reduce stays one full-width collective AFTER the last
   /// chunk — splitting it per chunk would reorder each element's
   /// cross-replica additions (the ring schedule assigns chunks by buffer
@@ -72,6 +86,12 @@ class DistSpmm15d {
   /// multiply(), which delegates here.
   Matrix multiply_pipelined(const Matrix& h_local, int chunks,
                             int* stage_counter, double* cpu_seconds = nullptr);
+
+  /// Column chunks multiply_pipelined() actually uses for an f-wide H:
+  /// `chunks` clamped to [1, max(1, f)].
+  static int chunk_count(int chunks, vid_t f) {
+    return std::max(1, std::min(chunks, static_cast<int>(std::max<vid_t>(1, f))));
+  }
 
  private:
   bool assigned(int j) const { return j % layout_.s == grid_col_; }

@@ -42,7 +42,6 @@ class DistSpmm2d {
              SpmmMode mode, const KernelConfig& kernels = {});
 
   const SquareGrid& grid() const { return grid_; }
-  SpmmMode mode() const { return mode_; }
   /// Residency of this rank's H block (block id = grid column).
   const BlockRange& input_range() const { return input_range_; }
   /// Residency of this rank's Z block after multiply (block id = grid row).

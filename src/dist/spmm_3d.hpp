@@ -47,7 +47,6 @@ class DistSpmm3d {
              int depth, SpmmMode mode, const KernelConfig& kernels = {});
 
   const CubeGrid& grid() const { return grid_; }
-  SpmmMode mode() const { return mode_; }
   /// Residency of this rank's H block (block id = grid column).
   const BlockRange& input_range() const { return input_range_; }
   /// Residency of this rank's Z partial before the transpose (block id =

@@ -8,8 +8,4 @@ enum class SpmmMode {
   kSparsityAware,  ///< move only the H rows the local blocks actually read
 };
 
-inline const char* to_string(SpmmMode mode) {
-  return mode == SpmmMode::kOblivious ? "oblivious" : "sparsity-aware";
-}
-
 }  // namespace sagnn

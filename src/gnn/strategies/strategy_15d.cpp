@@ -6,9 +6,22 @@
 
 namespace sagnn {
 
+Matrix Strategy15d::multiply(const Matrix& h_local, double* cpu_seconds) {
+  if (schedule_ == Schedule::kBulk) return spmm_->multiply(h_local, cpu_seconds);
+  if (schedule_ == Schedule::kEpochWide) {
+    return spmm_->multiply_pipelined(h_local, chunks_, &stage_, cpu_seconds);
+  }
+  // kPerPropagate: stage ids restart every propagate, and a multiply that
+  // does not split stays on the untagged bulk phases.
+  int stage = 0;
+  const bool split = DistSpmm15d::chunk_count(chunks_, h_local.n_cols()) > 1;
+  return spmm_->multiply_pipelined(h_local, chunks_, split ? &stage : nullptr,
+                                   cpu_seconds);
+}
+
 std::vector<double> Strategy15d::rank_work(const StrategyContext& ctx) const {
   // Rank r holds block row r/c; the c replicas split its work.
-  const GridLayout layout = GridLayout::make(ctx.p, ctx.c);
+  const GridLayout layout = GridLayout::make(ctx.p, replication(ctx.c));
   std::vector<double> work(static_cast<std::size_t>(ctx.p), 0.0);
   const auto row_ptr = ctx.adjacency->row_ptr();
   for (int r = 0; r < ctx.p; ++r) {
@@ -29,7 +42,7 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   }
   GridLayout layout;
   try {
-    layout = GridLayout::make(in.p, in.c);
+    layout = GridLayout::make(in.p, replication(in.c));
   } catch (const Error& err) {
     out.note = err.what();
     return out;
@@ -45,7 +58,7 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   const double s = sizeof(real_t);
   const int rows = layout.rows;
   const int c = layout.s;
-  const int k = pipelined_ ? std::max(1, in.chunks) : 1;
+  const int k = schedule_ != Schedule::kBulk ? std::max(1, in.chunks) : 1;
   // Reduce scope: a grid column (one replica of every block row), `rows`
   // members spaced c apart. Each rank holds an n*c/p-row replica.
   const std::vector<vid_t> widths =
@@ -67,28 +80,51 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
     if (c > 1) e.allreduce(out.cost, (n * c / in.p) * w * s, c, 1);
   }
   out.valid = true;
-  if (pipelined_) {
-    // Cross-layer schedule: K stages per propagate plus the final drain
-    // (the trainer records n_prop * K stages for K >= 2, n_prop + 1 at
-    // K = 1).
+  if (schedule_ == Schedule::kPerPropagate) {
+    out.depth = k;
+  } else if (schedule_ == Schedule::kEpochWide) {
+    // Cross-layer schedule: the trainer records the deepest per-base stage
+    // count, n_prop * K alltoall stages against, at c > 1, the n_prop
+    // tagged grid-row all-reduces plus the untagged loss/gradient
+    // all-reduce. At c = 1 no grid-row all-reduce runs.
     const int n_prop = static_cast<int>(widths.size());
-    out.depth = std::max(n_prop * k, n_prop + 1);
+    out.depth = std::max(n_prop * k, c > 1 ? n_prop + 1 : 0);
   }
   return out;
 }
 
 namespace {
+using Schedule = Strategy15d::Schedule;
+
+const StrategyRegistration kRegister1dOblivious{
+    "1d-oblivious", {"1d-oblivious(cagnet)", "cagnet"}, [] {
+      return std::make_unique<Strategy15d>(SpmmMode::kOblivious, Schedule::kBulk,
+                                           true);
+    }};
+const StrategyRegistration kRegister1dSparse{
+    "1d-sparse", {"1d-sparsity-aware"}, [] {
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, Schedule::kBulk,
+                                           true);
+    }};
+const StrategyRegistration kRegister1dOverlap{
+    "1d-overlap", {"1d-pipelined"}, [] {
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware,
+                                           Schedule::kPerPropagate, true);
+    }};
 const StrategyRegistration kRegister15dOblivious{
     "1.5d-oblivious", {}, [] {
-      return std::make_unique<Strategy15d>(SpmmMode::kOblivious, false);
+      return std::make_unique<Strategy15d>(SpmmMode::kOblivious, Schedule::kBulk,
+                                           false);
     }};
 const StrategyRegistration kRegister15dSparse{
     "1.5d-sparse", {"1.5d-sparsity-aware"}, [] {
-      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, false);
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, Schedule::kBulk,
+                                           false);
     }};
 const StrategyRegistration kRegister15dOverlap{
     "1.5d-overlap", {"15d-overlap", "1.5d-pipelined"}, [] {
-      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware, true);
+      return std::make_unique<Strategy15d>(SpmmMode::kSparsityAware,
+                                           Schedule::kEpochWide, false);
     }};
 }  // namespace
 

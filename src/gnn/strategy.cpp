@@ -186,16 +186,4 @@ std::vector<vid_t> predict_base(EpochCost& cost, const PredictInput& in,
   return widths;
 }
 
-std::vector<double> block_row_nnz_work(const StrategyContext& ctx) {
-  // Rank r owns block row r outright: its work is the block's nnz.
-  std::vector<double> work(static_cast<std::size_t>(ctx.p), 0.0);
-  const auto row_ptr = ctx.adjacency->row_ptr();
-  for (int r = 0; r < ctx.p; ++r) {
-    const BlockRange& range = ctx.ranges[static_cast<std::size_t>(r)];
-    work[static_cast<std::size_t>(r)] =
-        static_cast<double>(row_ptr[range.end] - row_ptr[range.begin]);
-  }
-  return work;
-}
-
 }  // namespace sagnn

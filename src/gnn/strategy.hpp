@@ -212,10 +212,6 @@ class DistributionStrategy {
   virtual PredictedCost predict_cost(const PredictInput& in) const;
 };
 
-/// rank_work() of any strategy whose rank r owns block row r outright
-/// (the 1D family): each rank's share is its block's nnz.
-std::vector<double> block_row_nnz_work(const StrategyContext& ctx);
-
 using StrategyRegistry = NamedRegistry<DistributionStrategy>;
 
 /// The process-wide distribution-strategy registry.

@@ -348,5 +348,40 @@ TEST(Strategy15dOverlap, SparsePredictionIgnoresChunkCount) {
   EXPECT_EQ(four.depth, 1);
 }
 
+TEST(PipelinedDepth, PredictionMatchesRecordedStages) {
+  // The planner prices a pipelined candidate at its predicted depth and
+  // scores the run at the stage count the trainer recorded; the two must
+  // agree. At c = 1 no grid-row all-reduce is tagged, so "1.5d-overlap"
+  // records n_prop * K stages and "1d-overlap" records K.
+  const Dataset ds = make_reddit_sim(DatasetScale::kSmall);
+  const GraphCensus census = take_census(ds);
+  const auto check = [&](const char* name, int c, int chunks) {
+    auto trainer = TrainerBuilder(ds)
+                       .strategy(name)
+                       .ranks(8, c)
+                       .partitioner("gvb")
+                       .pipeline_chunks(chunks)
+                       .gcn(tiny_config(ds, 1))
+                       .build();
+    trainer->train();
+    PredictInput in;
+    in.census = &census;
+    in.p = 8;
+    in.c = c;
+    in.chunks = chunks;
+    in.partitioner = "gvb";
+    in.dims = tiny_config(ds).dims;
+    const PredictedCost predicted =
+        strategy_registry().create(name)->predict_cost(in);
+    ASSERT_TRUE(predicted.valid) << name << " c=" << c << " K=" << chunks;
+    EXPECT_EQ(predicted.depth, trainer->result().pipeline_stages)
+        << name << " c=" << c << " K=" << chunks;
+  };
+  for (int c : {1, 2}) {
+    for (int chunks : {1, 2}) check("1.5d-overlap", c, chunks);
+  }
+  for (int chunks : {1, 2, 4}) check("1d-overlap", 1, chunks);
+}
+
 }  // namespace
 }  // namespace sagnn

@@ -2,11 +2,14 @@
 // depends on: identical training math and bytes to "1d-sparse" with K-fold
 // messages, stage-tagged traffic driving TrainResult's three schedule
 // columns, and a strategy-level epoch cost whose `other` bucket excludes
-// the one-time index exchange exactly.
+// the one-time index exchange exactly. Also pins that every 1D
+// registration runs the 1.5D class at c = 1 whatever c the job asks for.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "gnn/strategy.hpp"
 #include "gnn/trainer.hpp"
@@ -14,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
 #include "plan/census.hpp"
+#include "simcomm/cluster.hpp"
 #include "sparse/blocks.hpp"
 
 namespace sagnn {
@@ -132,8 +136,8 @@ TEST(StrategyEpochCost, OtherBucketExcludesIndexExchangeExactly) {
 }
 
 TEST(StrategyOverlap, BlockRowWorkSharedWithSparse1d) {
-  // Both 1D strategies weight ranks by block-row nnz; the shared helper
-  // must agree with a direct per-block count.
+  // Every 1D strategy weights rank r by the nnz of block row r, whatever c
+  // the context carries.
   Rng rng(6);
   const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(24, 120, rng));
   const auto ranges = uniform_block_ranges(24, 3);
@@ -141,13 +145,21 @@ TEST(StrategyOverlap, BlockRowWorkSharedWithSparse1d) {
   ctx.p = 3;
   ctx.adjacency = &a;
   ctx.ranges = ranges;
-  const auto work = block_row_nnz_work(ctx);
-  ASSERT_EQ(work.size(), 3u);
+  std::vector<double> work;
+  for (const BlockRange& range : ranges) {
+    work.push_back(static_cast<double>(a.row_ptr()[range.end] -
+                                       a.row_ptr()[range.begin]));
+  }
   double total = 0;
   for (double w : work) total += w;
   EXPECT_DOUBLE_EQ(total, static_cast<double>(a.nnz()));
-  EXPECT_EQ(strategy_registry().create("1d-overlap")->rank_work(ctx), work);
-  EXPECT_EQ(strategy_registry().create("1d-sparse")->rank_work(ctx), work);
+  for (const char* name : {"1d-overlap", "1d-sparse", "1d-oblivious"}) {
+    const auto strategy = strategy_registry().create(name);
+    ctx.c = 1;
+    EXPECT_EQ(strategy->rank_work(ctx), work) << name;
+    ctx.c = 2;
+    EXPECT_EQ(strategy->rank_work(ctx), work) << name << " c=2";
+  }
 }
 
 TEST(StrategyOverlap, SingleChunkPredictionEqualsSparseBitwise) {
@@ -197,6 +209,114 @@ TEST(StrategyOverlap, SparsePredictionIgnoresChunkCount) {
             std::bit_cast<std::uint64_t>(sparse_one.seconds()));
   EXPECT_EQ(sparse_four.depth, 1);
   EXPECT_EQ(overlap_four.depth, 4);
+}
+
+// ---- The 1D registrations are Strategy15d with c pinned to 1 ----
+
+constexpr const char* kOneD[] = {"1d-oblivious", "1d-sparse", "1d-overlap"};
+
+TEST(OneDStrategies, BlockRowCountIgnoresC) {
+  for (const char* name : kOneD) {
+    EXPECT_EQ(strategy_registry().create(name)->n_blocks(8, 2), 8) << name;
+  }
+}
+
+TEST(OneDStrategies, PredictionIgnoresC) {
+  // The planner prices the 1D strategies at every c of its grid, including
+  // c = 3, where c^2 does not divide p: each must price as c = 1.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus census = take_census(ds);
+  PredictInput in;
+  in.census = &census;
+  in.p = 8;
+  in.chunks = 4;
+  in.partitioner = "gvb";
+  in.dims = tiny_config(ds).dims;
+  for (const char* name : kOneD) {
+    const auto strategy = strategy_registry().create(name);
+    in.c = 1;
+    const PredictedCost one = strategy->predict_cost(in);
+    ASSERT_TRUE(one.valid) << name;
+    for (int c : {2, 3}) {
+      in.c = c;
+      const PredictedCost other = strategy->predict_cost(in);
+      ASSERT_TRUE(other.valid) << name << " c=" << c;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(other.seconds()),
+                std::bit_cast<std::uint64_t>(one.seconds()))
+          << name << " c=" << c;
+      EXPECT_EQ(other.depth, one.depth) << name << " c=" << c;
+    }
+  }
+}
+
+TEST(OneDStrategies, TrainingIgnoresC) {
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const auto train = [&](const char* name, int c) {
+    auto trainer = TrainerBuilder(ds)
+                       .strategy(name)
+                       .ranks(4, c)
+                       .partitioner("gvb")
+                       .gcn(tiny_config(ds, 2))
+                       .build();
+    trainer->train();
+    return trainer->result();
+  };
+  for (const char* name : kOneD) {
+    const TrainResult one = train(name, 1);
+    const TrainResult two = train(name, 2);
+    ASSERT_EQ(two.epochs.size(), one.epochs.size()) << name;
+    for (std::size_t e = 0; e < one.epochs.size(); ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(two.epochs[e].loss),
+                std::bit_cast<std::uint64_t>(one.epochs[e].loss))
+          << name << " epoch " << e;
+    }
+    EXPECT_EQ(two.pipeline_stages, one.pipeline_stages) << name;
+    ASSERT_EQ(two.phase_volumes.size(), one.phase_volumes.size()) << name;
+    for (const auto& [phase, vol] : one.phase_volumes) {
+      ASSERT_TRUE(two.phase_volumes.count(phase)) << name << " " << phase;
+      EXPECT_EQ(two.phase_volumes.at(phase).megabytes_per_epoch,
+                vol.megabytes_per_epoch)
+          << name << " " << phase;
+      EXPECT_EQ(two.phase_volumes.at(phase).messages_per_epoch,
+                vol.messages_per_epoch)
+          << name << " " << phase;
+    }
+  }
+}
+
+/// Phases recorded by one forward + one backward propagate of "1d-overlap"
+/// at K = `chunks` on 4 ranks (8-wide features, so K <= 8 never clamps).
+std::vector<std::string> overlap_phase_names(int chunks) {
+  Rng rng(7);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(32, 160, rng));
+  const auto ranges = uniform_block_ranges(32, 4);
+  const Matrix h = Matrix::random_uniform(32, 8, rng);
+  StrategyContext ctx;
+  ctx.p = 4;
+  ctx.adjacency = &a;
+  ctx.ranges = ranges;
+  ctx.pipeline_chunks = chunks;
+  Cluster cluster(4);
+  cluster.run([&](Comm& comm) {
+    const auto strategy = strategy_registry().create("1d-overlap");
+    strategy->setup(comm, ctx);
+    strategy->begin_epoch();
+    const BlockRange& r = strategy->my_range();
+    const Matrix z =
+        strategy->propagate_forward(h.slice_rows(r.begin, r.end), nullptr);
+    (void)strategy->propagate_backward(z, nullptr);
+  });
+  return cluster.traffic().phase_names();
+}
+
+TEST(OneDStrategies, OverlapStageIdsRestartEveryPropagate) {
+  // A single chunk records the plain bulk phase; K chunks record stages
+  // 0..K-1 however many propagates ran.
+  EXPECT_EQ(overlap_phase_names(1),
+            (std::vector<std::string>{"alltoall", "index_exchange"}));
+  EXPECT_EQ(overlap_phase_names(4),
+            (std::vector<std::string>{"alltoall#0", "alltoall#1", "alltoall#2",
+                                      "alltoall#3", "index_exchange"}));
 }
 
 }  // namespace

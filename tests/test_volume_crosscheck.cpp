@@ -4,7 +4,7 @@
 // exactly, for every partitioner.
 #include <gtest/gtest.h>
 
-#include "dist/spmm_1d.hpp"
+#include "dist/spmm_15d.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "partition/metrics.hpp"
@@ -34,9 +34,9 @@ TEST_P(VolumeCrossCheck, RecordedBytesEqualPrediction) {
 
   Cluster cluster(p);
   cluster.run([&](Comm& comm) {
-    DistSpmm1d spmm_dist(comm, ap, ranges, SpmmMode::kSparsityAware);
+    DistSpmm15d spmm_dist(comm, ap, ranges, /*c=*/1, SpmmMode::kSparsityAware);
     const BlockRange r = spmm_dist.my_range();
-    (void)spmm_dist.multiply(comm, h.slice_rows(r.begin, r.end));
+    (void)spmm_dist.multiply(h.slice_rows(r.begin, r.end));
   });
 
   const PhaseTraffic traffic = cluster.traffic().phase("alltoall");
