@@ -9,6 +9,8 @@
 // regret compares communication schedules, not host speed or measurement
 // noise. regret = truth(planner pick) / min truth - 1, self-asserted
 // <= 10% on every cell (REGRET VIOLATION + exit 1 otherwise — the CI gate).
+// Every run must also record the pipeline depth its candidate was priced
+// at (DEPTH VIOLATION + exit 1 otherwise).
 //
 //   $ ./bench_planner            # full sweep: 3 datasets x p in {8,64,256}
 //   $ ./bench_planner --smoke    # sanitizer CI: tiny datasets, p = 8
@@ -47,7 +49,7 @@ struct CellRecord {
 /// Truth score of one candidate: run it (1 epoch is exact — every epoch's
 /// traffic is identical), price the RECORDED traffic, pin compute to the
 /// prediction's nominal term, and take the pipelined critical path at the
-/// stage count the run actually used.
+/// stage count the run actually used, which must be the predicted depth.
 double truth_seconds(const Dataset& ds, const PlanCandidate& cand) {
   ExperimentSpec spec;
   spec.strategy = cand.strategy;
@@ -57,6 +59,13 @@ double truth_seconds(const Dataset& ds, const PlanCandidate& cand) {
   spec.pipeline_chunks = cand.chunks;
   spec.epochs = 1;
   const TrainResult r = run_experiment(ds, spec);
+  if (r.pipeline_stages != cand.depth) {
+    std::cerr << "DEPTH VIOLATION: " << ds.name << " " << cand.strategy << "+"
+              << cand.partitioner << " p=" << cand.p << " c=" << cand.c
+              << " K=" << cand.chunks << ": predicted depth " << cand.depth
+              << " but the run recorded " << r.pipeline_stages << " stages\n";
+    std::exit(1);
+  }
   EpochCost truth = r.modeled_epoch;
   truth.compute = cand.predicted.compute;
   return truth.total_pipelined(r.pipeline_stages);
@@ -68,7 +77,7 @@ CellRecord run_cell(const Dataset& ds, const GraphCensus& census, int p,
   opts.pinned_p = p;
   opts.partitioners = {"block", "gvb"};
   opts.c_grid = {1, 2, 4};
-  opts.chunk_grid = {4};
+  opts.chunk_grid = {1, 4};
   const Plan plan = plan_strategies(census, opts);
   if (plan.ranked.size() < 5) {
     std::cerr << "PLAN VIOLATION: only " << plan.ranked.size()
@@ -100,7 +109,8 @@ CellRecord run_cell(const Dataset& ds, const GraphCensus& census, int p,
   cell.regret_pct = (cell.pick_truth_s / cell.truth_best_s - 1.0) * 100.0;
 
   const auto label = [](const PlanCandidate& c) {
-    return c.strategy + "+" + c.partitioner + " c=" + std::to_string(c.c);
+    return c.strategy + "+" + c.partitioner + " c=" + std::to_string(c.c) +
+           " K=" + std::to_string(c.chunks);
   };
   table.add_row({ds.name, std::to_string(p), std::to_string(cell.candidates),
                  label(cell.pick), ms(cell.pick.seconds), ms(cell.pick_truth_s),
@@ -191,7 +201,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nregret gate: every cell <= " << kRegretGate * 100
             << "% of the exhaustive best (modeled, compute pinned to the\n"
-               "prediction's nominal term).\n";
+               "prediction's nominal term); depth gate: every run recorded\n"
+               "the pipeline depth it was priced at.\n";
   emit_json(cells, "BENCH_planner.json");
   return 0;
 }

@@ -12,18 +12,17 @@
 // listing the registered choices.
 //
 // Strategies:   1d-oblivious | 1d-sparse | 1d-overlap | 1.5d-oblivious
-//               | 1.5d-sparse | 1.5d-overlap | 2d-oblivious | 2d-sparse
-//               | 3d   (2D: square p; 3D: p = q^2 * c, c is the depth)
+//               | 1.5d-sparse | 1.5d-overlap
+//               | 2d-oblivious (alias 2d-sparse; square p)
 // Partitioners: block | random | metis | gvb
 //
 // `--list` prints the live registry catalogs (canonical names + aliases)
 // and exits — the authoritative version of the comment above.
 //
 // c defaults to 1; pass it explicitly (e.g. "... 32 4") to exercise 1.5D
-// replication — with c=1 the 1.5D algorithms degenerate to the 1D layout
-// (and the 3D strategy to 2D). The banner echoes the effective c. A sixth
-// argument sets the column chunk count for the pipelined strategies
-// (default 4).
+// replication — with c=1 the 1.5D algorithms degenerate to the 1D layout.
+// The banner echoes the effective c. A sixth argument sets the column
+// chunk count for the pipelined strategies (default 4).
 
 #include <cstdio>
 #include <cstdlib>

@@ -65,6 +65,15 @@ class NamedRegistry {
     return it != aliases_.end() ? it->second : std::vector<std::string>{};
   }
 
+  /// The canonical name `name` resolves to; `name` itself when it is
+  /// canonical or unknown.
+  std::string canonical(const std::string& name) const {
+    for (const auto& [canon, aka] : aliases_) {
+      if (std::find(aka.begin(), aka.end(), name) != aka.end()) return canon;
+    }
+    return name;
+  }
+
   /// Human-readable catalog: every canonical name with its aliases, e.g.
   /// "gvb (aka gvb(volume-balancing))". Used by error messages and the
   /// drivers' --list mode.

@@ -19,12 +19,11 @@ SquareGrid SquareGrid::make(int p) {
 }
 
 DistSpmm2d::DistSpmm2d(Comm& comm, const CsrMatrix& a,
-                       std::span<const BlockRange> ranges, SpmmMode mode,
+                       std::span<const BlockRange> ranges,
                        const KernelConfig& kernels)
     : grid_(SquareGrid::make(comm.size())),
       grid_row_(grid_.grid_row(comm.rank())),
       grid_col_(grid_.grid_col(comm.rank())),
-      mode_(mode),
       world_(comm),
       row_comm_(comm.split([this](int r) { return grid_.grid_row(r); })) {
   SAGNN_REQUIRE(static_cast<int>(ranges.size()) == grid_.q,
@@ -37,10 +36,8 @@ DistSpmm2d::DistSpmm2d(Comm& comm, const CsrMatrix& a,
 
   const CsrMatrix row_block = extract_row_block(a, output_range_);
   tile_ = std::move(split_block_cols(row_block, ranges)[static_cast<std::size_t>(grid_col_)]);
-  compacted_ = compact_columns(tile_);
   if (kernels.format == SpmmFormat::kSell) {
     tile_sell_ = SellMatrix::from_csr(tile_, kernels);
-    compacted_sell_ = SellMatrix::from_csr(compacted_.matrix, kernels);
   }
 }
 
@@ -51,21 +48,10 @@ Matrix DistSpmm2d::multiply(const Matrix& h_local, double* cpu_seconds) {
 
   ThreadCpuTimer timer;
   Matrix z(output_range_.size(), f);
-  if (mode_ == SpmmMode::kSparsityAware) {
-    if (compacted_.matrix.nnz() > 0) {
-      const Matrix packed = h_local.gather_rows(compacted_.cols);
-      if (compacted_sell_) {
-        spmm_accumulate(*compacted_sell_, packed, z);
-      } else {
-        spmm_compacted_accumulate(compacted_.matrix, packed, z);
-      }
-    }
+  if (tile_sell_) {
+    spmm_accumulate(*tile_sell_, h_local, z);
   } else {
-    if (tile_sell_) {
-      spmm_accumulate(*tile_sell_, h_local, z);
-    } else {
-      spmm_accumulate(tile_, h_local, z);
-    }
+    spmm_accumulate(tile_, h_local, z);
   }
   if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();
 

@@ -11,9 +11,8 @@
 //
 // The Z all-reduce moves dense blocks whose size is independent of the
 // graph's sparsity — the structural reason CAGNET (and the paper) prefer
-// 1D/1.5D for GNN training. kSparsityAware here only compacts the local
-// working set (the kernel reads packed rows); it cannot shrink the wire
-// volume.
+// 1D/1.5D for GNN training. So there is no sparsity-aware mode: every
+// rank multiplies its full tile.
 
 #include "dense/matrix.hpp"
 #include "dist/dist_csr.hpp"
@@ -39,7 +38,7 @@ class DistSpmm2d {
   /// Collective over `comm`; `ranges` must have exactly q entries.
   /// `kernels` selects the local SpMM storage format (bitwise-neutral).
   DistSpmm2d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
-             SpmmMode mode, const KernelConfig& kernels = {});
+             const KernelConfig& kernels = {});
 
   const SquareGrid& grid() const { return grid_; }
   /// Residency of this rank's H block (block id = grid column).
@@ -61,15 +60,12 @@ class DistSpmm2d {
   SquareGrid grid_;
   int grid_row_ = 0;
   int grid_col_ = 0;
-  SpmmMode mode_;
   BlockRange input_range_;
   BlockRange output_range_;
   CsrMatrix tile_;           ///< Â_{ij}, columns localized to block j
-  CompactedBlock compacted_; ///< column-compacted tile (sparsity-aware kernel)
-  /// SELL twins of tile_/compacted_.matrix (sparse/sell.hpp); disengaged on
-  /// the default CSR path.
+  /// SELL twin of tile_ (sparse/sell.hpp); disengaged on the default CSR
+  /// path.
   std::optional<SellMatrix> tile_sell_;
-  std::optional<SellMatrix> compacted_sell_;
   Comm world_;               ///< copy of the constructing communicator
   Comm row_comm_;            ///< same grid row; comm rank == grid col
 };

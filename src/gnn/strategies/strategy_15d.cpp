@@ -58,20 +58,26 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   const double s = sizeof(real_t);
   const int rows = layout.rows;
   const int c = layout.s;
-  const int k = schedule_ != Schedule::kBulk ? std::max(1, in.chunks) : 1;
+  const int k = schedule_ != Schedule::kBulk ? in.chunks : 1;
   // Reduce scope: a grid column (one replica of every block row), `rows`
   // members spaced c apart. Each rank holds an n*c/p-row replica.
   const std::vector<vid_t> widths =
       predict_base(out.cost, in, rows, n * c / in.p, rows, c);
   const double halo = cs.expected_halo_rows(in.partitioner, rows);
   const double imb = cs.expected_send_imbalance(in.partitioner, rows);
+  // Stage counts per propagate: K clamped to the width, as the run does.
+  int max_chunks = 1;
+  int sum_chunks = 0;
   for (vid_t width : widths) {
     const double w = static_cast<double>(width);
+    const int chunks = DistSpmm15d::chunk_count(k, width);
+    max_chunks = std::max(max_chunks, chunks);
+    sum_chunks += chunks;
     // Grid-column fetch: the c replicas of a block row split its traffic.
     // Chunking moves the same bytes in K times the alltoall messages.
     if (mode_ == SpmmMode::kSparsityAware) {
       e.alltoall(out.cost, halo / in.p * imb * w * s,
-                 static_cast<double>(k) * (rows - 1), rows, c);
+                 static_cast<double>(chunks) * (rows - 1), rows, c);
     } else {
       e.bcast(out.cost, (rows - 1) * n / in.p * w * s, rows - 1, rows, c);
     }
@@ -81,14 +87,14 @@ PredictedCost Strategy15d::predict_cost(const PredictInput& in) const {
   }
   out.valid = true;
   if (schedule_ == Schedule::kPerPropagate) {
-    out.depth = k;
+    out.depth = max_chunks;
   } else if (schedule_ == Schedule::kEpochWide) {
     // Cross-layer schedule: the trainer records the deepest per-base stage
-    // count, n_prop * K alltoall stages against, at c > 1, the n_prop
-    // tagged grid-row all-reduces plus the untagged loss/gradient
+    // count, the alltoall stages of all propagates against, at c > 1, the
+    // n_prop tagged grid-row all-reduces plus the untagged loss/gradient
     // all-reduce. At c = 1 no grid-row all-reduce runs.
     const int n_prop = static_cast<int>(widths.size());
-    out.depth = std::max(n_prop * k, c > 1 ? n_prop + 1 : 0);
+    out.depth = std::max(sum_chunks, c > 1 ? n_prop + 1 : 0);
   }
   return out;
 }

@@ -42,8 +42,7 @@ PredictedCost Strategy2d::predict_cost(const PredictInput& in) const {
   const double n = static_cast<double>(cs.n);
   const double s = sizeof(real_t);
   // The dense Z all-reduce and the residency transpose are oblivious to
-  // sparsity (kSparsityAware only compacts the local kernel), so both
-  // modes price identically.
+  // sparsity.
   const std::vector<vid_t> widths =
       predict_base(out.cost, in, grid.q, n / grid.q, grid.q, 1);
   for (vid_t width : widths) {
@@ -56,14 +55,10 @@ PredictedCost Strategy2d::predict_cost(const PredictInput& in) const {
 }
 
 namespace {
-const StrategyRegistration kRegister2dOblivious{
-    "2d-oblivious", {"2d-oblivious(summa)", "summa"}, [] {
-      return std::make_unique<Strategy2d>(SpmmMode::kOblivious);
-    }};
-const StrategyRegistration kRegister2dSparse{
-    "2d-sparse", {"2d-sparsity-aware"}, [] {
-      return std::make_unique<Strategy2d>(SpmmMode::kSparsityAware);
-    }};
+const StrategyRegistration kRegister2d{
+    "2d-oblivious",
+    {"2d-oblivious(summa)", "summa", "2d-sparse", "2d-sparsity-aware"},
+    [] { return std::make_unique<Strategy2d>(); }};
 }  // namespace
 
 }  // namespace sagnn

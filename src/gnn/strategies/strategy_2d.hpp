@@ -1,9 +1,11 @@
 #pragma once
-// 2D (SUMMA-style) distribution strategies: a q x q grid tiles Â; the
-// dense Z all-reduce across grid rows dominates and cannot be shrunk by
-// sparsity — the scheme the paper inherits CAGNET's case against, kept as
-// a faithful comparison point. Forward/backward aggregations remap their
-// output back to H residency so layers chain.
+// 2D (SUMMA-style) distribution strategy ("2d-oblivious"): a q x q grid
+// tiles Â; the dense Z all-reduce across grid rows dominates and cannot be
+// shrunk by sparsity — the scheme the paper inherits CAGNET's case
+// against, kept as a faithful comparison point. A sparsity-aware 2D mode
+// would move the same bytes, so "2d-sparse" is only an alias of this
+// strategy. Forward/backward aggregations remap their output back to H
+// residency so layers chain.
 
 #include "dist/spmm_2d.hpp"
 #include "gnn/strategy.hpp"
@@ -12,18 +14,14 @@ namespace sagnn {
 
 class Strategy2d final : public DistributionStrategy {
  public:
-  explicit Strategy2d(SpmmMode mode) : mode_(mode) {}
-
-  std::string name() const override {
-    return mode_ == SpmmMode::kSparsityAware ? "2d-sparse" : "2d-oblivious";
-  }
+  std::string name() const override { return "2d-oblivious"; }
 
   int n_blocks(int p, int /*c*/) const override {
     return SquareGrid::make(p).q;
   }
 
   void setup(Comm& comm, const StrategyContext& ctx) override {
-    spmm_ = std::make_unique<DistSpmm2d>(comm, *ctx.adjacency, ctx.ranges, mode_,
+    spmm_ = std::make_unique<DistSpmm2d>(comm, *ctx.adjacency, ctx.ranges,
                                          ctx.kernels);
   }
 
@@ -47,7 +45,6 @@ class Strategy2d final : public DistributionStrategy {
   PredictedCost predict_cost(const PredictInput& in) const override;
 
  private:
-  SpmmMode mode_;
   std::unique_ptr<DistSpmm2d> spmm_;
 };
 

@@ -158,7 +158,7 @@ std::vector<vid_t> predict_base(EpochCost& cost, const PredictInput& in,
 
   // Nominal compute: every scheme splits the tile SpMM's nnz * width work
   // p ways (replicas split columns, grids split tiles); what differs is
-  // the dense GEMM row count (replication and 2D/3D residency duplicate
+  // the dense GEMM row count (replication and 2D residency duplicate
   // dense compute) and the partitioner's nnz imbalance at n_blocks.
   double width_sum = 0;
   for (vid_t w : widths) width_sum += static_cast<double>(w);

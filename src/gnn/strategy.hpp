@@ -52,7 +52,7 @@ struct GraphCensus;  // src/plan/census.hpp
 struct PredictInput {
   const GraphCensus* census = nullptr;
   int p = 1;       ///< simulated GPU count
-  int c = 1;       ///< replication factor / 3D depth
+  int c = 1;       ///< replication factor
   int chunks = 1;  ///< pipeline chunks K (pipelined strategies)
   std::string partitioner = "block";  ///< partitioner registry name
   CostModel model;                    ///< volume_scale already calibrated
@@ -109,8 +109,8 @@ class CostEstimator {
   /// messages and ~2 payload bytes per rank.
   void allreduce(EpochCost& c, double payload_bytes, int ring,
                  int stride) const;
-  /// Point-to-point traffic outside the named buckets (transpose remaps,
-  /// depth all-gathers) — lands in `other` like its recorded phase would.
+  /// Point-to-point traffic outside the named buckets (the 2D transpose
+  /// remap) — lands in `other` like its recorded phase would.
   void exchange(EpochCost& c, double bytes, double msgs, int group,
                 int stride) const;
 

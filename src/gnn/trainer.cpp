@@ -147,7 +147,10 @@ std::unique_ptr<Trainer> TrainerBuilder::resume(std::istream& in) const {
 
   // The checkpoint's configuration is authoritative; only knobs the caller
   // explicitly set on this builder override it (elastic restart et al.).
-  if (set_.strategy && config_.strategy != cfg.strategy) {
+  // An alias names the same algorithm as its canonical name.
+  const StrategyRegistry& strategies = strategy_registry();
+  if (set_.strategy &&
+      strategies.canonical(config_.strategy) != strategies.canonical(cfg.strategy)) {
     throw ckpt::CheckpointMismatchError(
         "checkpoint was trained with strategy '" + cfg.strategy +
         "', resume requests '" + config_.strategy +

@@ -31,7 +31,7 @@ struct PlannerOptions {
   /// Candidate rank counts, searched when pinned_p == 0.
   std::vector<int> p_grid = {8, 64, 256};
   int pinned_p = 0;  ///< > 0: plan exactly this p
-  /// Candidate replication/depth factors, searched when pinned_c == 0.
+  /// Candidate replication factors, searched when pinned_c == 0.
   std::vector<int> c_grid = {1, 2, 4};
   int pinned_c = 0;  ///< >= 1: plan exactly this c
   /// Candidate pipeline-chunk counts, searched when pinned_chunks == 0.

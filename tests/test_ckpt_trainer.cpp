@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{"1d-overlap", 4, 1, "metis", 1},
                       DistCase{"1d-overlap", 4, 1, "metis", 4},
                       DistCase{"1.5d-sparse", 4, 2, "block", 1},
-                      DistCase{"2d-sparse", 4, 1, "metis", 4}),
+                      DistCase{"2d-oblivious", 4, 1, "metis", 4}),
     [](const ::testing::TestParamInfo<DistCase>& info) {
       std::string name = std::string(info.param.strategy) + "_" +
                          info.param.partitioner + "_t" +
@@ -355,13 +355,31 @@ TEST(CkptTrainer, StrategyMismatchIsTypedErrorNamingBoth) {
   first->save(snapshot);
 
   try {
-    (void)TrainerBuilder(ds).strategy("2d-sparse").resume(snapshot);
+    (void)TrainerBuilder(ds).strategy("2d-oblivious").resume(snapshot);
     FAIL() << "expected CheckpointMismatchError";
   } catch (const ckpt::CheckpointMismatchError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1d-sparse"), std::string::npos);
-    EXPECT_NE(what.find("2d-sparse"), std::string::npos);
+    EXPECT_NE(what.find("2d-oblivious"), std::string::npos);
   }
+}
+
+TEST(CkptTrainer, AliasOfSnapshotStrategyIsNoMismatch) {
+  // A snapshot that names "2d-sparse" resumes under its canonical name
+  // "2d-oblivious": an alias is the same algorithm.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  auto first = TrainerBuilder(ds)
+                   .strategy("2d-sparse")
+                   .ranks(4)
+                   .gcn(ckpt_config(ds, 2))
+                   .build();
+  (void)first->run_epoch();
+  std::stringstream snapshot;
+  first->save(snapshot);
+
+  auto resumed = TrainerBuilder(ds).strategy("2d-oblivious").resume(snapshot);
+  resumed->train();
+  EXPECT_EQ(resumed->result().epochs_completed(), 2);
 }
 
 TEST(CkptTrainer, DatasetMismatchIsTypedError) {

@@ -88,12 +88,11 @@ INSTANTIATE_TEST_SUITE_P(
         EqCase{"1.5d-sparse", 4, 2, "metis"},
         EqCase{"1.5d-sparse", 8, 2, "gvb"},
         EqCase{"1.5d-sparse", 16, 2, "gvb"},
-        // 2D (SUMMA-style) algorithms on square grids.
+        // 2D (SUMMA-style) algorithm on square grids.
         EqCase{"2d-oblivious", 4, 1, "block"},
         EqCase{"2d-oblivious", 9, 1, "metis"},
-        EqCase{"2d-sparse", 4, 1, "block"},
-        EqCase{"2d-sparse", 9, 1, "gvb"},
-        EqCase{"2d-sparse", 16, 1, "metis"}));
+        EqCase{"2d-oblivious", 9, 1, "gvb"},
+        EqCase{"2d-oblivious", 16, 1, "metis"}));
 
 // ---- Registry-driven sweep: EVERY registered (strategy x partitioner) ----
 // pair must reproduce the serial loss trajectory through TrainerBuilder.

@@ -99,7 +99,7 @@ TEST(Planner, InvalidGeometriesAreSkippedWithDiagnostics) {
   const GraphCensus census = take_census(ds);
   PlannerOptions opts;
   opts.pinned_p = 8;  // not a square: no 2D candidate exists
-  opts.strategies = {"2d-sparse"};
+  opts.strategies = {"2d-oblivious"};
   opts.partitioners = {"block"};
   const Plan plan = plan_strategies(census, opts);
   EXPECT_TRUE(plan.ranked.empty());
@@ -186,7 +186,7 @@ TEST(TrainerBuilderFailFast, UnknownStrategyThrowsAtTheSetterCall) {
     const std::string what = e.what();
     EXPECT_NE(what.find("bogus-strategy"), std::string::npos);
     EXPECT_NE(what.find("1d-sparse"), std::string::npos);
-    EXPECT_NE(what.find("3d"), std::string::npos);
+    EXPECT_NE(what.find("2d-oblivious"), std::string::npos);
     EXPECT_NE(what.find("serial"), std::string::npos);  // built-ins listed
   }
   // The builder is untouched by the failed call.
@@ -205,7 +205,8 @@ TEST(TrainerBuilderFailFast, UnknownPartitionerThrowsAtTheSetterCall) {
 
 TEST(RegistryCatalog, ListsCanonicalNamesWithAliases) {
   const std::string catalog = strategy_registry().catalog();
-  EXPECT_NE(catalog.find("3d (aka 3d-comm-avoiding)"), std::string::npos);
+  EXPECT_NE(catalog.find("1.5d-overlap (aka 15d-overlap, 1.5d-pipelined)"),
+            std::string::npos);
   EXPECT_NE(catalog.find("summa"), std::string::npos);
   const auto aliases = strategy_registry().aliases("2d-oblivious");
   EXPECT_NE(std::find(aliases.begin(), aliases.end(), "summa"), aliases.end());

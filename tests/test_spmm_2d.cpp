@@ -1,6 +1,6 @@
 // Distributed 2D (SUMMA-style) SpMM: grid construction, correctness against
-// serial SpMM in both modes, residency remapping, and the structural
-// property that its all-reduce volume is sparsity-independent.
+// serial SpMM, residency remapping, and the structural property that its
+// all-reduce volume is sparsity-independent.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,26 +31,25 @@ TEST(SquareGrid, RejectsNonSquare) {
 // ctest names each case after that print. The explicit zero fields take the
 // place of padding, so no uninitialised byte reaches the test name.
 struct Case2d {
-  Case2d(vid_t n_, eid_t m_, vid_t f_, int p_, SpmmMode mode_)
-      : n(n_), m(m_), f(f_), p(p_), mode(mode_) {}
+  Case2d(vid_t n_, eid_t m_, vid_t f_, int p_) : n(n_), m(m_), f(f_), p(p_) {}
   vid_t n;
   std::int32_t pad0 = 0;
   eid_t m;
   vid_t f;
   int p;
-  SpmmMode mode;
   std::int32_t pad1 = 0;
+  std::int32_t pad2 = 0;
 };
 static_assert(std::has_unique_object_representations_v<Case2d>);
 
-Matrix run_dist_2d(const CsrMatrix& a, const Matrix& h, int p, SpmmMode mode,
+Matrix run_dist_2d(const CsrMatrix& a, const Matrix& h, int p,
                    TrafficRecorder* traffic_out = nullptr) {
   const SquareGrid g = SquareGrid::make(p);
   const auto ranges = uniform_block_ranges(a.n_rows(), g.q);
   Matrix result(a.n_rows(), h.n_cols());
   Cluster cluster(p);
   cluster.run([&](Comm& comm) {
-    DistSpmm2d spmm_dist(comm, a, ranges, mode);
+    DistSpmm2d spmm_dist(comm, a, ranges);
     const BlockRange in = spmm_dist.input_range();
     const Matrix z = spmm_dist.multiply(h.slice_rows(in.begin, in.end));
     // Grid column 0 writes the output (one owner per block row).
@@ -72,18 +71,13 @@ TEST_P(Spmm2dMatchesSerial, Agrees) {
   Rng rng(c.n + c.p);
   const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(c.n, c.m, rng));
   const Matrix h = Matrix::random_uniform(c.n, c.f, rng);
-  EXPECT_LT(run_dist_2d(a, h, c.p, c.mode).max_abs_diff(spmm(a, h)), 1e-4);
+  EXPECT_LT(run_dist_2d(a, h, c.p).max_abs_diff(spmm(a, h)), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Spmm2dMatchesSerial,
-    ::testing::Values(Case2d{32, 200, 4, 1, SpmmMode::kOblivious},
-                      Case2d{32, 200, 4, 4, SpmmMode::kOblivious},
-                      Case2d{32, 200, 4, 4, SpmmMode::kSparsityAware},
-                      Case2d{60, 400, 6, 9, SpmmMode::kOblivious},
-                      Case2d{60, 400, 6, 9, SpmmMode::kSparsityAware},
-                      Case2d{100, 900, 8, 16, SpmmMode::kOblivious},
-                      Case2d{100, 900, 8, 16, SpmmMode::kSparsityAware}));
+    ::testing::Values(Case2d{32, 200, 4, 1}, Case2d{32, 200, 4, 4},
+                      Case2d{60, 400, 6, 9}, Case2d{100, 900, 8, 16}));
 
 TEST(Spmm2d, ChainedMultipliesViaRemap) {
   // Z residency (grid row) must be remapped to H residency (grid col)
@@ -98,7 +92,7 @@ TEST(Spmm2d, ChainedMultipliesViaRemap) {
   Matrix result(48, 3);
   Cluster cluster(9);
   cluster.run([&](Comm& comm) {
-    DistSpmm2d spmm_dist(comm, a, ranges, SpmmMode::kSparsityAware);
+    DistSpmm2d spmm_dist(comm, a, ranges);
     const BlockRange in = spmm_dist.input_range();
     Matrix local = h.slice_rows(in.begin, in.end);
     for (int i = 0; i < 3; ++i) {
@@ -134,8 +128,8 @@ TEST(Spmm2d, AllreduceVolumeIsSparsityIndependent) {
   const Matrix h = Matrix::random_uniform(n, 4, rng);
 
   TrafficRecorder t_dense(1), t_sparse(1);
-  run_dist_2d(dense_g, h, 9, SpmmMode::kSparsityAware, &t_dense);
-  run_dist_2d(sparse_g, h, 9, SpmmMode::kSparsityAware, &t_sparse);
+  run_dist_2d(dense_g, h, 9, &t_dense);
+  run_dist_2d(sparse_g, h, 9, &t_sparse);
   EXPECT_EQ(t_dense.phase("allreduce").total_bytes(),
             t_sparse.phase("allreduce").total_bytes());
   EXPECT_GT(t_dense.phase("allreduce").total_bytes(), 0u);
@@ -149,7 +143,7 @@ TEST(Spmm2d, RemapIsInvolutionOnResidency) {
   const Matrix h = Matrix::random_uniform(40, 5, rng);
   Cluster cluster(4);
   cluster.run([&](Comm& comm) {
-    DistSpmm2d spmm_dist(comm, a, ranges, SpmmMode::kOblivious);
+    DistSpmm2d spmm_dist(comm, a, ranges);
     const BlockRange in = spmm_dist.input_range();
     const BlockRange out = spmm_dist.output_range();
     // Fabricate a Z-resident block and round-trip it. remap_for_next maps

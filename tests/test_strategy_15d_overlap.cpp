@@ -352,10 +352,14 @@ TEST(PipelinedDepth, PredictionMatchesRecordedStages) {
   // The planner prices a pipelined candidate at its predicted depth and
   // scores the run at the stage count the trainer recorded; the two must
   // agree. At c = 1 no grid-row all-reduce is tagged, so "1.5d-overlap"
-  // records n_prop * K stages and "1d-overlap" records K.
-  const Dataset ds = make_reddit_sim(DatasetScale::kSmall);
-  const GraphCensus census = take_census(ds);
-  const auto check = [&](const char* name, int c, int chunks) {
+  // records n_prop * K stages and "1d-overlap" records K, with K clamped
+  // to each propagate's width.
+  const Dataset reddit = make_reddit_sim(DatasetScale::kSmall);
+  const Dataset amazon = make_amazon_sim(DatasetScale::kTiny);
+  const GraphCensus reddit_census = take_census(reddit);
+  const GraphCensus amazon_census = take_census(amazon);
+  const auto check = [&](const Dataset& ds, const GraphCensus& census,
+                         const char* name, int c, int chunks) {
     auto trainer = TrainerBuilder(ds)
                        .strategy(name)
                        .ranks(8, c)
@@ -375,12 +379,18 @@ TEST(PipelinedDepth, PredictionMatchesRecordedStages) {
         strategy_registry().create(name)->predict_cost(in);
     ASSERT_TRUE(predicted.valid) << name << " c=" << c << " K=" << chunks;
     EXPECT_EQ(predicted.depth, trainer->result().pipeline_stages)
-        << name << " c=" << c << " K=" << chunks;
+        << ds.name << " " << name << " c=" << c << " K=" << chunks;
   };
   for (int c : {1, 2}) {
-    for (int chunks : {1, 2}) check("1.5d-overlap", c, chunks);
+    for (int chunks : {1, 2}) check(reddit, reddit_census, "1.5d-overlap", c, chunks);
   }
-  for (int chunks : {1, 2, 4}) check("1d-overlap", 1, chunks);
+  for (int chunks : {1, 2, 4}) check(reddit, reddit_census, "1d-overlap", 1, chunks);
+  // Every propagate of amazon-sim kTiny is 16 wide, so K = 32 and 64 run
+  // 16 chunks per propagate.
+  for (int chunks : {32, 64}) {
+    check(amazon, amazon_census, "1d-overlap", 1, chunks);
+    check(amazon, amazon_census, "1.5d-overlap", 1, chunks);
+  }
 }
 
 }  // namespace
