@@ -350,7 +350,8 @@ int main(int argc, char** argv) {
   if (!smoke) {
     run_preemption(ds, "1d-sparse", 8, "metis", total_epochs, kill(), table);
     run_preemption(ds, "1.5d-sparse", 4, "block", total_epochs, kill(), table);
-    run_preemption(ds, "2d-sparse", 4, "metis", total_epochs, kill(), table);
+    // Resumes mid-run the epoch-wide stage cursor that begin_epoch() resets.
+    run_preemption(ds, "1.5d-overlap", 4, "metis", total_epochs, kill(), table);
   }
 
   run_elastic(ds, "1d-sparse", 4, 2, "gvb", total_epochs, kill(), table);

@@ -13,7 +13,6 @@
 //
 // Strategies:   1d-oblivious | 1d-sparse | 1d-overlap | 1.5d-oblivious
 //               | 1.5d-sparse | 1.5d-overlap
-//               | 2d-oblivious (alias 2d-sparse; square p)
 // Partitioners: block | random | metis | gvb
 //
 // `--list` prints the live registry catalogs (canonical names + aliases)
@@ -21,14 +20,16 @@
 //
 // c defaults to 1; pass it explicitly (e.g. "... 32 4") to exercise 1.5D
 // replication — with c=1 the 1.5D algorithms degenerate to the 1D layout.
-// The banner echoes the effective c. A sixth argument sets the column
-// chunk count for the pipelined strategies (default 4).
+// The banner echoes the effective c (the 1D strategies always run c=1). A
+// sixth argument sets the column chunk count for the pipelined strategies
+// (default 4).
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench_support/experiment.hpp"
+#include "gnn/strategy.hpp"
 #include "graph/datasets.hpp"
 
 using namespace sagnn;
@@ -48,14 +49,19 @@ int main(int argc, char** argv) {
     spec.strategy = strategy;
     spec.partitioner = partitioner;
     spec.p = p;
-    spec.c = c;  // only the 1.5D family reads it; others ignore c
+    spec.c = c;  // the 1D strategies run c=1 whatever it says
     spec.pipeline_chunks = chunks;  // only the pipelined strategies read it
     spec.epochs = 10;
     spec.gcn.learning_rate = 0.3f;
 
+    // The serial/sampled trainer modes are not registry entries.
+    const int effective_c =
+        strategy_registry().contains(strategy)
+            ? p / strategy_registry().create(strategy)->n_blocks(p, c)
+            : c;
     std::printf("== %s | %s | partitioner=%s | p=%d c=%d ==\n",
                 ds.name.c_str(), strategy.c_str(), partitioner.c_str(), spec.p,
-                spec.c);
+                effective_c);
     const TrainResult r = run_experiment(ds, spec);
 
     std::printf("\nepoch  loss      train-acc\n");

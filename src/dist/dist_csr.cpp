@@ -42,7 +42,7 @@ void DistCsr::block_accumulate(int j, const Matrix& h, Matrix& z) const {
 void DistCsr::compacted_accumulate(int j, const Matrix& h_packed,
                                    Matrix& z) const {
   if (compacted_sell_.empty()) {
-    spmm_compacted_accumulate(compacted_block(j).matrix, h_packed, z);
+    spmm_accumulate(compacted_block(j).matrix, h_packed, z);
   } else {
     spmm_accumulate(compacted_sell_[static_cast<std::size_t>(j)], h_packed, z);
   }

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "dist/spmm_mode.hpp"
 #include "sparse/blocks.hpp"
 #include "sparse/sell.hpp"
 
@@ -51,8 +50,11 @@ class DistCsr {
   /// Z += plain_block(j) * H through the configured kernel format.
   void block_accumulate(int j, const Matrix& h, Matrix& z) const;
   /// Z += compacted_block(j).matrix * H_packed through the configured
-  /// kernel format (the sparsity-aware remapped-index contract of
-  /// spmm_compacted_accumulate).
+  /// kernel format. The column indices of the compacted block address rows
+  /// of the PACKED buffer `h_packed`: the sparsity-aware algorithms receive
+  /// only the needed rows of H_j (needed_rows(j), in order) and the
+  /// indices are remapped once at construction, so the kernel is the plain
+  /// spmm_accumulate.
   void compacted_accumulate(int j, const Matrix& h_packed, Matrix& z) const;
 
  private:

@@ -31,6 +31,12 @@
 
 namespace sagnn {
 
+/// Communication mode of the distributed SpMM (paper §4).
+enum class SpmmMode {
+  kOblivious,      ///< move whole H blocks regardless of sparsity (CAGNET)
+  kSparsityAware,  ///< move only the H rows the local blocks actually read
+};
+
 /// (P/c) x c process grid, rank = grid_row * c + grid_col (row major).
 struct GridLayout {
   int p = 1;

@@ -90,9 +90,10 @@ void DistributedTrainer::initialize() {
 DistributedTrainer::~DistributedTrainer() = default;
 
 std::string DistributedTrainer::name() const {
+  // The c that runs: the 1D strategies pin it to 1 whatever config_.c says.
+  const int c = config_.p / job_strategy_->n_blocks(config_.p, config_.c);
   return job_strategy_->name() + "+" + config_.partitioner + "@p=" +
-         std::to_string(config_.p) +
-         (config_.c > 1 ? ",c=" + std::to_string(config_.c) : "");
+         std::to_string(config_.p) + (c > 1 ? ",c=" + std::to_string(c) : "");
 }
 
 EpochMetrics DistributedTrainer::run_epoch() {

@@ -53,12 +53,6 @@ EpochCost DistributionStrategy::epoch_cost(const CostModel& model,
   return all;
 }
 
-PredictedCost DistributionStrategy::predict_cost(const PredictInput&) const {
-  PredictedCost out;
-  out.note = name() + " does not implement predict_cost()";
-  return out;
-}
-
 // ---- CostEstimator -------------------------------------------------------
 
 double CostEstimator::alpha_spread(int group, int stride) const {
@@ -122,13 +116,6 @@ void CostEstimator::allreduce(EpochCost& c, double payload_bytes, int ring,
   c.allreduce_latency += latency;
 }
 
-void CostEstimator::exchange(EpochCost& c, double bytes, double msgs,
-                             int group, int stride) const {
-  const double latency = msgs * alpha_spread(group, stride);
-  c.other += latency + bytes * m_.volume_scale * beta_spread(group, stride);
-  c.other_latency += latency;
-}
-
 double CostEstimator::compute_seconds(double madds,
                                       double host_madds_per_second) const {
   return madds / host_madds_per_second * m_.compute_scale * m_.volume_scale;
@@ -157,9 +144,9 @@ std::vector<vid_t> predict_base(EpochCost& cost, const PredictInput& in,
   const std::vector<vid_t> widths = propagate_widths(dims);
 
   // Nominal compute: every scheme splits the tile SpMM's nnz * width work
-  // p ways (replicas split columns, grids split tiles); what differs is
-  // the dense GEMM row count (replication and 2D residency duplicate
-  // dense compute) and the partitioner's nnz imbalance at n_blocks.
+  // p ways (replicas split a block row's columns); what differs is the
+  // dense GEMM row count (replication duplicates dense compute) and the
+  // partitioner's nnz imbalance at n_blocks.
   double width_sum = 0;
   for (vid_t w : widths) width_sum += static_cast<double>(w);
   const double spmm_madds =

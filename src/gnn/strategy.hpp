@@ -2,14 +2,16 @@
 // The distribution-strategy seam of distributed training.
 //
 // A DistributionStrategy encapsulates everything that differs between the
-// paper's communication schemes (1D/1.5D/2D x oblivious/sparsity-aware):
+// paper's communication schemes (1D/1.5D x oblivious/sparsity-aware):
 // the process geometry, the per-rank communicators and distributed-matrix
 // state, the collective schedule of one aggregation Â·X in forward and
 // backward direction, and the algorithm-specific part of the modeled
 // epoch cost. The DistributedTrainer is written once against this
-// interface; concrete strategies live in src/gnn/strategies/ and
-// self-register with strategy_registry() under CLI-friendly names, so new
-// schemes plug in without touching the trainer or any driver.
+// interface. Every registered name is a configuration of Strategy15d
+// (src/gnn/strategies/strategy_15d.hpp): the 1D schemes run its 1.5D grid
+// at c = 1. Strategies self-register with strategy_registry() under
+// CLI-friendly names, so new schemes plug in without touching the trainer
+// or any driver.
 //
 // Lifecycle: a strategy object is created per rank (plus one job-level
 // instance for geometry/cost queries). setup() binds it to a rank inside
@@ -34,7 +36,7 @@ namespace sagnn {
 /// partitioned and symmetrically permuted) adjacency and its block rows.
 struct StrategyContext {
   int p = 1;  ///< simulated GPU count
-  int c = 1;  ///< replication factor (1.5D family; others ignore it)
+  int c = 1;  ///< replication factor (the 1D strategies run c = 1)
   const CsrMatrix* adjacency = nullptr;
   std::span<const BlockRange> ranges;
   /// Column-chunk count for pipelined strategies ("1d-overlap",
@@ -109,10 +111,6 @@ class CostEstimator {
   /// messages and ~2 payload bytes per rank.
   void allreduce(EpochCost& c, double payload_bytes, int ring,
                  int stride) const;
-  /// Point-to-point traffic outside the named buckets (the 2D transpose
-  /// remap) — lands in `other` like its recorded phase would.
-  void exchange(EpochCost& c, double bytes, double msgs, int group,
-                int stride) const;
 
   /// Nominal compute seconds for `madds` multiply-adds: host throughput
   /// scaled by the model's host->device factor and volume_scale (compute
@@ -152,7 +150,7 @@ class DistributionStrategy {
   virtual std::string name() const = 0;
 
   /// Number of block rows the partitioner must produce for (p, c).
-  /// Throws Error on invalid geometry (non-square P for 2D, c^2 ∤ P, ...).
+  /// Throws Error on invalid geometry (c^2 ∤ P, ...).
   virtual int n_blocks(int p, int c) const = 0;
 
   /// Per-rank setup: split subcommunicators, build the local distributed
@@ -206,10 +204,9 @@ class DistributionStrategy {
 
   /// Closed-form predicted cost of ONE epoch for a candidate configuration,
   /// from census statistics alone — no setup(), no cluster, no training
-  /// run. Strategies opt in by overriding; the base declines (valid =
-  /// false), which the planner reports as a skipped candidate. Must return
-  /// valid = false (never throw) on invalid geometry.
-  virtual PredictedCost predict_cost(const PredictInput& in) const;
+  /// run. Must return valid = false (never throw) on invalid geometry,
+  /// which the planner reports as a skipped candidate.
+  virtual PredictedCost predict_cost(const PredictInput& in) const = 0;
 };
 
 using StrategyRegistry = NamedRegistry<DistributionStrategy>;

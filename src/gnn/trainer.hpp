@@ -232,7 +232,7 @@ struct TrainConfig {
   GcnConfig gcn;  ///< dims auto-derived from the dataset when left empty
 
   /// "serial", "sampled", or a registered distribution-strategy name
-  /// (e.g. "1d-sparse", "1.5d-oblivious", "2d-oblivious").
+  /// (e.g. "1d-sparse", "1.5d-oblivious", "1.5d-overlap").
   std::string strategy = "serial";
 
   /// Host thread-pool size for partitioning and the blocked kernels

@@ -328,14 +328,6 @@ class Comm {
     return payload_as<T>(world_->recv(world_rank(rank_), world_rank(src), stamp(tag)));
   }
 
-  /// Receive into a preallocated span (size must match exactly).
-  template <typename T>
-  void recv_into(int src, long tag, std::span<T> out) {
-    auto raw = world_->recv(world_rank(rank_), world_rank(src), stamp(tag));
-    SAGNN_REQUIRE(raw.size() == out.size_bytes(), "recv_into size mismatch");
-    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  }
-
   /// Dissemination barrier over this communicator. All members must call it
   /// the same number of times (standard collective semantics).
   void barrier();

@@ -27,14 +27,4 @@ void spmm_accumulate_reference(const CsrMatrix& a, const Matrix& h, Matrix& z);
 /// Z = A * H (convenience; allocates).
 Matrix spmm(const CsrMatrix& a, const Matrix& h);
 
-/// Z += A * H where the column indices of `a` address rows of a *compacted*
-/// buffer `h_packed` (used by the sparsity-aware algorithms, which receive
-/// only the needed rows of H and remap indices once at setup).
-/// Identical kernel; documented separately because callers rely on the
-/// remapped-index contract.
-inline void spmm_compacted_accumulate(const CsrMatrix& a, const Matrix& h_packed,
-                                      Matrix& z) {
-  spmm_accumulate(a, h_packed, z);
-}
-
 }  // namespace sagnn

@@ -12,6 +12,7 @@
 
 #include "bench_support/experiment.hpp"
 #include "ckpt/errors.hpp"
+#include "ckpt/state_io.hpp"
 #include "common/parallel.hpp"
 #include "gnn/distributed_trainer.hpp"
 #include "gnn/sampled_trainer.hpp"
@@ -181,8 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{"1d-sparse", 4, 1, "gvb", 4},
                       DistCase{"1d-overlap", 4, 1, "metis", 1},
                       DistCase{"1d-overlap", 4, 1, "metis", 4},
-                      DistCase{"1.5d-sparse", 4, 2, "block", 1},
-                      DistCase{"2d-oblivious", 4, 1, "metis", 4}),
+                      DistCase{"1.5d-sparse", 4, 2, "block", 1}),
     [](const ::testing::TestParamInfo<DistCase>& info) {
       std::string name = std::string(info.param.strategy) + "_" +
                          info.param.partitioner + "_t" +
@@ -355,21 +355,21 @@ TEST(CkptTrainer, StrategyMismatchIsTypedErrorNamingBoth) {
   first->save(snapshot);
 
   try {
-    (void)TrainerBuilder(ds).strategy("2d-oblivious").resume(snapshot);
+    (void)TrainerBuilder(ds).strategy("1.5d-oblivious").resume(snapshot);
     FAIL() << "expected CheckpointMismatchError";
   } catch (const ckpt::CheckpointMismatchError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1d-sparse"), std::string::npos);
-    EXPECT_NE(what.find("2d-oblivious"), std::string::npos);
+    EXPECT_NE(what.find("1.5d-oblivious"), std::string::npos);
   }
 }
 
 TEST(CkptTrainer, AliasOfSnapshotStrategyIsNoMismatch) {
-  // A snapshot that names "2d-sparse" resumes under its canonical name
-  // "2d-oblivious": an alias is the same algorithm.
+  // A snapshot that names "1d-sparsity-aware" resumes under its canonical
+  // name "1d-sparse": an alias is the same algorithm.
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   auto first = TrainerBuilder(ds)
-                   .strategy("2d-sparse")
+                   .strategy("1d-sparsity-aware")
                    .ranks(4)
                    .gcn(ckpt_config(ds, 2))
                    .build();
@@ -377,9 +377,45 @@ TEST(CkptTrainer, AliasOfSnapshotStrategyIsNoMismatch) {
   std::stringstream snapshot;
   first->save(snapshot);
 
-  auto resumed = TrainerBuilder(ds).strategy("2d-oblivious").resume(snapshot);
+  auto resumed = TrainerBuilder(ds).strategy("1d-sparse").resume(snapshot);
   resumed->train();
   EXPECT_EQ(resumed->result().epochs_completed(), 2);
+}
+
+TEST(CkptTrainer, UnregisteredSnapshotStrategyIsTypedError) {
+  // A snapshot naming a strategy the registry no longer has ("2d-sparse"):
+  // the prologue alone decides, before any trainer state is read.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  TrainConfig cfg;
+  cfg.strategy = "2d-sparse";
+  cfg.p = 4;
+  cfg.gcn = ckpt_config(ds, 2);
+  std::stringstream snapshot;
+  {
+    ckpt::Serializer s(snapshot);
+    ckpt::write_prologue(s, cfg, ds);
+    s.finish();
+  }
+
+  try {
+    (void)TrainerBuilder(ds).resume(snapshot);
+    FAIL() << "expected UnknownNameError";
+  } catch (const UnknownNameError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2d-sparse"), std::string::npos);
+    EXPECT_NE(what.find(strategy_registry().catalog()), std::string::npos);
+  }
+
+  snapshot.clear();
+  snapshot.seekg(0);
+  try {
+    (void)TrainerBuilder(ds).strategy("1d-sparse").resume(snapshot);
+    FAIL() << "expected CheckpointMismatchError";
+  } catch (const ckpt::CheckpointMismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2d-sparse"), std::string::npos);
+    EXPECT_NE(what.find("1d-sparse"), std::string::npos);
+  }
 }
 
 TEST(CkptTrainer, DatasetMismatchIsTypedError) {

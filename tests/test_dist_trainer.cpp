@@ -94,45 +94,24 @@ TEST(DistTrainer, VolumeModelPopulated) {
   EXPECT_GE(result.partition_wall_seconds, 0.0);
 }
 
-TEST(DistTrainer, Runs2dAlgorithms) {
-  // "2d-sparse" is an alias of "2d-oblivious": the same strategy, so the
-  // same losses bit for bit and the same traffic.
-  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  std::vector<TrainResult> results;
-  for (const char* strategy : {"2d-oblivious", "2d-sparse"}) {
-    TrainConfig cfg = base_config(ds, strategy, 2);
-    cfg.p = 9;  // 3x3 grid
-    cfg.partitioner = "metis";
-    results.push_back(run_distributed(ds, cfg));
-    EXPECT_EQ(results.back().epochs.size(), 2u);
-    // The 2D algorithm always pays its Z all-reduce.
-    EXPECT_GT(results.back().phase_volumes.at("allreduce").megabytes_per_epoch,
-              0.0);
-  }
-  for (std::size_t e = 0; e < results[0].epochs.size(); ++e) {
-    EXPECT_EQ(results[0].epochs[e].loss, results[1].epochs[e].loss) << e;
-  }
-  ASSERT_EQ(results[0].phase_volumes.size(), results[1].phase_volumes.size());
-  for (const auto& [phase, vol] : results[0].phase_volumes) {
-    const auto& other = results[1].phase_volumes.at(phase);
-    EXPECT_EQ(vol.megabytes_per_epoch, other.megabytes_per_epoch) << phase;
-    EXPECT_EQ(vol.messages_per_epoch, other.messages_per_epoch) << phase;
-  }
-}
-
-TEST(DistTrainer, Rejects2dNonSquare) {
-  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  TrainConfig cfg = base_config(ds, "2d-oblivious", 1);
-  cfg.p = 8;
-  EXPECT_THROW(run_distributed(ds, cfg), Error);
-}
-
 TEST(DistTrainer, RejectsBadGrid) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   TrainConfig cfg = base_config(ds, "1.5d-sparse", 1);
   cfg.p = 6;
   cfg.c = 2;  // c^2 = 4 does not divide 6
   EXPECT_THROW(run_distributed(ds, cfg), Error);
+}
+
+TEST(DistTrainer, NameShowsTheReplicationFactorThatRuns) {
+  // The 1D strategies run c = 1 whatever c the job asks for, so their name
+  // carries no ",c=" suffix; the 1.5D strategies run the requested c.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GcnConfig gcn = GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, 1);
+  const auto name_at_c2 = [&](const char* strategy) {
+    return TrainerBuilder(ds).strategy(strategy).ranks(4, 2).gcn(gcn).build()->name();
+  };
+  EXPECT_EQ(name_at_c2("1d-sparse"), "1d-sparse+block@p=4");
+  EXPECT_EQ(name_at_c2("1.5d-sparse"), "1.5d-sparse+block@p=4,c=2");
 }
 
 TEST(DistTrainer, RejectsMismatchedGcnDims) {

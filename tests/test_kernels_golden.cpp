@@ -71,7 +71,7 @@ TEST_P(KernelsGoldenRegistrySweep, SellTrajectoryBitwiseEqualsCsr) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   const GcnConfig gcn = tiny_gcn(ds, 3);
   // p = 4 satisfies every registered geometry (any p for 1D, c^2 | p for
-  // 1.5D with c = 2, perfect square for 2D).
+  // 1.5D with c = 2).
   const int c = strategy.rfind("1.5d", 0) == 0 ? 2 : 1;
 
   auto run = [&](const KernelConfig& kernels) {

@@ -98,8 +98,9 @@ TEST(Planner, InvalidGeometriesAreSkippedWithDiagnostics) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   const GraphCensus census = take_census(ds);
   PlannerOptions opts;
-  opts.pinned_p = 8;  // not a square: no 2D candidate exists
-  opts.strategies = {"2d-oblivious"};
+  opts.pinned_p = 8;
+  opts.pinned_c = 3;  // c^2 = 9 does not divide 8: no 1.5D grid exists
+  opts.strategies = {"1.5d-sparse"};
   opts.partitioners = {"block"};
   const Plan plan = plan_strategies(census, opts);
   EXPECT_TRUE(plan.ranked.empty());
@@ -131,13 +132,13 @@ TEST(Planner, RankingIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(Planner, EveryRegisteredStrategyImplementsPredictCost) {
-  // The planner is only as wide as its predictors: a strategy landing in
-  // the registry without predict_cost() would silently vanish from every
-  // plan. Price one valid geometry per strategy to pin the contract.
+  // The planner is only as wide as its predictors: a strategy whose
+  // predict_cost() declined every geometry would silently vanish from
+  // every plan. Price one valid geometry per strategy to pin the contract.
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   const GraphCensus census = take_census(ds);
   PlannerOptions opts;
-  opts.pinned_p = 16;  // square AND cube-compatible: every family fits
+  opts.pinned_p = 16;  // c^2 | 16 for every c in the default grid
   opts.partitioners = {"block"};
   const Plan plan = plan_strategies(census, opts);
   std::vector<std::string> planned;
@@ -186,7 +187,7 @@ TEST(TrainerBuilderFailFast, UnknownStrategyThrowsAtTheSetterCall) {
     const std::string what = e.what();
     EXPECT_NE(what.find("bogus-strategy"), std::string::npos);
     EXPECT_NE(what.find("1d-sparse"), std::string::npos);
-    EXPECT_NE(what.find("2d-oblivious"), std::string::npos);
+    EXPECT_NE(what.find("1.5d-overlap"), std::string::npos);
     EXPECT_NE(what.find("serial"), std::string::npos);  // built-ins listed
   }
   // The builder is untouched by the failed call.
@@ -207,9 +208,9 @@ TEST(RegistryCatalog, ListsCanonicalNamesWithAliases) {
   const std::string catalog = strategy_registry().catalog();
   EXPECT_NE(catalog.find("1.5d-overlap (aka 15d-overlap, 1.5d-pipelined)"),
             std::string::npos);
-  EXPECT_NE(catalog.find("summa"), std::string::npos);
-  const auto aliases = strategy_registry().aliases("2d-oblivious");
-  EXPECT_NE(std::find(aliases.begin(), aliases.end(), "summa"), aliases.end());
+  EXPECT_NE(catalog.find("cagnet"), std::string::npos);
+  const auto aliases = strategy_registry().aliases("1d-oblivious");
+  EXPECT_NE(std::find(aliases.begin(), aliases.end(), "cagnet"), aliases.end());
   EXPECT_TRUE(strategy_registry().aliases("no-such-strategy").empty());
 }
 

@@ -27,7 +27,7 @@ TEST(StrategyRegistry, ListsAllPaperAlgorithms) {
   const auto names = strategy_registry().names();
   for (const char* expected :
        {"1d-oblivious", "1d-sparse", "1d-overlap", "1.5d-oblivious",
-        "1.5d-sparse", "1.5d-overlap", "2d-oblivious"}) {
+        "1.5d-sparse", "1.5d-overlap"}) {
     EXPECT_TRUE(strategy_registry().contains(expected)) << expected;
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
@@ -41,7 +41,7 @@ TEST(StrategyRegistry, CanonicalNameRoundTrips) {
 }
 
 TEST(StrategyRegistry, AcceptsHistoricalAliases) {
-  // Every canonical name and alias of all seven strategies, with the
+  // Every canonical name and alias of all six strategies, with the
   // canonical name() it builds — including the descriptive forms older
   // callers printed ("1d-oblivious(cagnet)", "1d-sparsity-aware", ...).
   const std::pair<const char*, const char*> table[] = {
@@ -58,20 +58,19 @@ TEST(StrategyRegistry, AcceptsHistoricalAliases) {
       {"1.5d-overlap", "1.5d-overlap"},
       {"15d-overlap", "1.5d-overlap"},
       {"1.5d-pipelined", "1.5d-overlap"},
-      {"2d-oblivious", "2d-oblivious"},
-      {"2d-oblivious(summa)", "2d-oblivious"},
-      {"summa", "2d-oblivious"},
-      {"2d-sparse", "2d-oblivious"},
-      {"2d-sparsity-aware", "2d-oblivious"},
   };
   for (const auto& [name, canonical] : table) {
     EXPECT_EQ(strategy_registry().create(name)->name(), canonical) << name;
     EXPECT_EQ(strategy_registry().canonical(name), canonical) << name;
   }
-  EXPECT_EQ(strategy_registry().names().size(), 7u);
-  // Neither name of the removed 3D strategy resolves.
-  EXPECT_FALSE(strategy_registry().contains("3d"));
-  EXPECT_FALSE(strategy_registry().contains("3d-comm-avoiding"));
+  EXPECT_EQ(strategy_registry().names().size(), 6u);
+  // No name of the removed 2D and 3D strategies resolves.
+  for (const char* removed :
+       {"2d-oblivious", "2d-oblivious(summa)", "summa", "2d-sparse",
+        "2d-sparsity-aware", "3d", "3d-comm-avoiding"}) {
+    EXPECT_FALSE(strategy_registry().contains(removed)) << removed;
+    EXPECT_THROW(strategy_registry().create(removed), UnknownNameError) << removed;
+  }
 }
 
 TEST(StrategyRegistry, UnknownNameListsRegisteredStrategies) {
@@ -82,7 +81,7 @@ TEST(StrategyRegistry, UnknownNameListsRegisteredStrategies) {
     const std::string what = e.what();
     EXPECT_NE(what.find("3d-sparse"), std::string::npos);
     EXPECT_NE(what.find("1d-sparse"), std::string::npos);
-    EXPECT_NE(what.find("2d-oblivious"), std::string::npos);
+    EXPECT_NE(what.find("1.5d-overlap"), std::string::npos);
   }
 }
 
